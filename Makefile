@@ -5,7 +5,7 @@ FUZZTIME ?= 30s
 
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: all build test race vet fmt-check check bench bench-smoke benchreport bench-diff bench-scaling experiments serve-smoke chaos-smoke trace-smoke char-smoke soak-smoke adaptive-smoke fuzz-smoke cover-sched clean
+.PHONY: all build test race vet fmt-check check bench bench-smoke benchreport bench-diff bench-scaling experiments serve-smoke chaos-smoke trace-smoke char-smoke soak-smoke fuzz-smoke cover-sched clean
 
 all: build
 
@@ -99,15 +99,6 @@ trace-smoke:
 # on failure).
 char-smoke:
 	./scripts/char_smoke.sh
-
-# adaptive-smoke gates the phase-aware adaptive policy family: the
-# fig-adaptive table on the m88ksim-phased showcase (150k instructions)
-# must be byte-identical to scripts/golden/adaptive_smoke_150k.txt and
-# across shard counts, and the online bandit must strictly beat every
-# static policy in its candidate set while holding >= 90% of the
-# per-epoch oracle's IPC.
-adaptive-smoke:
-	./scripts/adaptive_smoke.sh
 
 # soak-smoke is the distributed-mode gate: 1 coordinator + 3 race-built
 # workers run a 32-cell sweep while workers and then the coordinator are

@@ -55,13 +55,14 @@ import (
 	"repro/internal/obs/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
+	"repro/internal/registry"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 func main() {
 	bench := flag.String("bench", "go", "benchmark: compress,gcc,perl,go,m88ksim,xlisp,vortex,jpeg")
-	workloadName := flag.String("workload", "", "run any registered workload by name (alias of -bench covering the extended and runtime-registered families; unknown names list what is registered)")
+	workloadName := flag.String("workload", "", "run any registered workload by name (alias of -bench covering the extended families; unknown names list every family)")
 	asmFile := flag.String("asm", "", "simulate an assembly file instead of a generated benchmark")
 	model := flag.String("model", "see", "model: "+strings.Join(core.ModelNames(), ","))
 	compare := flag.String("compare", "", "comma-separated models to run side by side through the sharded harness; prints one IPC table instead of a single-model report")
@@ -71,9 +72,9 @@ func main() {
 	depth := flag.Int("depth", 0, "total pipeline depth (0 = 8)")
 	units := flag.Int("units", 0, "functional units of each type (0 = 4)")
 	histBits := flag.Int("histbits", 0, "predictor hist_bits (0 = scaled baseline 11)")
-	pred := flag.String("pred", "", "predictor kind override, any registered kind: "+strings.Join(pipeline.PredictorKinds(), ","))
+	pred := flag.String("pred", "", "predictor kind override, any registered kind: "+strings.Join(bpred.Registry.Kinds(), ","))
 	predParams := flag.String("pred-params", "", "predictor parameters as name=value[,name=value...] (schema-checked; e.g. -pred tage -pred-params tables=4,tag_bits=11)")
-	policyKind := flag.String("policy", "", "adaptive SEE policy controller, any registered kind: "+strings.Join(policy.Kinds(), ","))
+	policyKind := flag.String("policy", "", "adaptive SEE policy controller, any registered kind: "+strings.Join(policy.Registry.Kinds(), ","))
 	policyCands := flag.String("policy-candidates", "", "comma-separated candidate presets for -policy: "+strings.Join(policy.PresetNames(), ",")+" (default: the model's configured behaviour for static, see,monopath otherwise)")
 	policyEpoch := flag.Int("policy-epoch", 0, "policy epoch length in cycles (0 = default 4096)")
 	policyParams := flag.String("policy-params", "", "controller parameters as name=value[,name=value...] (schema-checked; e.g. -policy online -policy-params explore_every=6,shift_milli=120)")
@@ -397,16 +398,8 @@ func machineMods(window, depth, units, histBits int, pred, predParams, policyKin
 			}
 		}
 		accepts := func(name string) bool {
-			e, ok := bpred.Lookup(string(kind))
-			if !ok {
-				return false
-			}
-			for _, ps := range e.Params {
-				if ps.Name == name {
-					return true
-				}
-			}
-			return false
+			e, ok := bpred.Registry.Lookup(string(kind))
+			return ok && registry.HasParam(e.Params, name)
 		}
 		mods = append(mods, func(c *pipeline.Config) {
 			// Fresh map per application: the same option may apply to

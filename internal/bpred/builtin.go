@@ -34,7 +34,7 @@ func histBitsSpec(max int) ParamSpec {
 }
 
 func init() {
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		Kind:   "gshare",
 		Doc:    "McFarling gshare: global history XOR pc indexes 2-bit counters (the paper's baseline)",
 		Params: []ParamSpec{histBitsSpec(28)},
@@ -43,7 +43,7 @@ func init() {
 		},
 		StateBytes: func(p Params) int { return (1 << uint(p.Get("hist_bits", 0))) / 4 },
 	})
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		Kind:   "bimodal",
 		Doc:    "per-address 2-bit counter table (hist_bits = index bits)",
 		Params: []ParamSpec{histBitsSpec(28)},
@@ -52,7 +52,7 @@ func init() {
 		},
 		StateBytes: func(p Params) int { return (1 << uint(p.Get("hist_bits", 0))) / 4 },
 	})
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		Kind: "static",
 		Doc:  "backward-taken/forward-not-taken; no learned state",
 		New: func(_ Params, env Env) (Predictor, error) {
@@ -62,14 +62,14 @@ func init() {
 			return &Static{TargetOf: env.TargetOf}, nil
 		},
 	})
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		Kind: "oracle",
 		Doc:  "perfect prediction from the reference trace (pipeline-special; the registry supplies a null table)",
 		New: func(Params, Env) (Predictor, error) {
 			return Null{}, nil
 		},
 	})
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		// NewLocal bounds per-branch history registers at 16 bits, so the
 		// schema is tighter than the 28-bit global-history kinds.
 		Kind:   "local",
@@ -84,7 +84,7 @@ func init() {
 			return (1<<uint(bits))/4 + (1<<uint(bits))*bits/8
 		},
 	})
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		// NewCombining bounds the chooser at 20 bits, so the budget tops
 		// out at 21 (components run one bit under it).
 		Kind:   "combining",

@@ -1,11 +1,6 @@
 package bpred
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "repro/internal/registry"
 
 // Params carries a predictor's integer sizing parameters by name
 // ("hist_bits", "tables", ...). A nil map and an empty map are equivalent:
@@ -22,28 +17,8 @@ func (p Params) Get(name string, def int) int {
 	return def
 }
 
-// Clone returns an independent copy (nil stays nil).
-func (p Params) Clone() Params {
-	if p == nil {
-		return nil
-	}
-	q := make(Params, len(p))
-	for k, v := range p {
-		q[k] = v
-	}
-	return q
-}
-
-// ParamSpec declares one parameter a predictor accepts: its name, the
-// accepted range, whether it is required, and the default filled in when it
-// is optional and absent.
-type ParamSpec struct {
-	Name     string
-	Doc      string
-	Min, Max int
-	Default  int
-	Required bool
-}
+// ParamSpec declares one parameter a predictor accepts.
+type ParamSpec = registry.ParamSpec
 
 // Env is the machine context handed to predictor factories. It carries the
 // hooks a predictor may need from the pipeline without coupling the
@@ -70,130 +45,21 @@ type Entry struct {
 	StateBytes func(p Params) int
 }
 
-// ParamError reports a parameter that violates a registered schema. The
-// pipeline converts it into its own typed config error, preserving Param.
-type ParamError struct {
-	Kind   string
-	Param  string
-	Reason string
-}
-
-func (e *ParamError) Error() string {
-	return fmt.Sprintf("bpred: %s: parameter %q: %s", e.Kind, e.Param, e.Reason)
-}
-
-type registry struct {
-	mu      sync.RWMutex
-	entries map[string]Entry
-}
-
-var reg = &registry{entries: make(map[string]Entry)}
-
-// Register adds a predictor kind to the registry. The kind spelling is
-// canonicalized to lower case. Registering an already-registered kind, an
-// empty kind, or an entry without a factory is an error — kinds are never
-// silently replaced.
-func Register(e Entry) error {
-	e.Kind = strings.ToLower(strings.TrimSpace(e.Kind))
-	if e.Kind == "" {
-		return fmt.Errorf("bpred: register: empty kind")
-	}
-	if e.New == nil {
-		return fmt.Errorf("bpred: register %q: nil factory", e.Kind)
-	}
-	seen := make(map[string]bool, len(e.Params))
-	for _, ps := range e.Params {
-		if ps.Name == "" || seen[ps.Name] {
-			return fmt.Errorf("bpred: register %q: duplicate or empty parameter name %q", e.Kind, ps.Name)
-		}
-		seen[ps.Name] = true
-		if ps.Min > ps.Max {
-			return fmt.Errorf("bpred: register %q: parameter %q has empty range [%d,%d]", e.Kind, ps.Name, ps.Min, ps.Max)
-		}
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, dup := reg.entries[e.Kind]; dup {
-		return fmt.Errorf("bpred: register %q: already registered", e.Kind)
-	}
-	reg.entries[e.Kind] = e
-	return nil
-}
-
-// MustRegister is Register for init-time built-ins; it panics on error.
-func MustRegister(e Entry) {
-	if err := Register(e); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the entry for a kind (case-insensitive).
-func Lookup(kind string) (Entry, bool) {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	e, ok := reg.entries[strings.ToLower(strings.TrimSpace(kind))]
-	return e, ok
-}
-
-// Kinds returns the registered kind spellings, sorted.
-func Kinds() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]string, 0, len(reg.entries))
-	for k := range reg.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// Registry holds every predictor kind, built-in or registered at runtime.
+var Registry = registry.New("bpred", "predictor", func(e *Entry) registry.Meta {
+	return registry.Meta{Kind: &e.Kind, Params: e.Params, Hooks: []registry.Hook{{Name: "New", Set: e.New != nil}}}
+})
 
 // NormalizeParams validates p against the kind's schema and returns the
-// canonical parameter map: unknown names and out-of-range values are
-// errors, optional absent parameters are filled with their defaults, and
-// the result is always a freshly allocated map (nil when the schema is
-// empty) — never an alias of the input, so configs copied by value cannot
-// share mutable state.
+// canonical parameter map (see registry.NormalizeParams): defaults filled,
+// freshly allocated, nil when the schema is empty.
 func NormalizeParams(kind string, p Params) (Params, error) {
-	e, ok := Lookup(kind)
-	if !ok {
-		return nil, fmt.Errorf("bpred: unknown predictor kind %q (registered: %s)", kind, strings.Join(Kinds(), ", "))
+	e, err := Registry.Get(kind)
+	if err != nil {
+		return nil, err
 	}
-	known := make(map[string]ParamSpec, len(e.Params))
-	for _, ps := range e.Params {
-		known[ps.Name] = ps
-	}
-	for name := range p {
-		if _, ok := known[name]; !ok {
-			return nil, &ParamError{Kind: e.Kind, Param: name, Reason: fmt.Sprintf("unknown parameter (accepted: %s)", strings.Join(paramNames(e.Params), ", "))}
-		}
-	}
-	var out Params
-	for _, ps := range e.Params {
-		v, present := p[ps.Name]
-		if !present {
-			if ps.Required {
-				return nil, &ParamError{Kind: e.Kind, Param: ps.Name, Reason: fmt.Sprintf("required, range [%d,%d]", ps.Min, ps.Max)}
-			}
-			v = ps.Default
-		}
-		if v < ps.Min || v > ps.Max {
-			return nil, &ParamError{Kind: e.Kind, Param: ps.Name, Reason: fmt.Sprintf("%d out of [%d,%d]", v, ps.Min, ps.Max)}
-		}
-		if out == nil {
-			out = make(Params, len(e.Params))
-		}
-		out[ps.Name] = v
-	}
-	return out, nil
-}
-
-func paramNames(specs []ParamSpec) []string {
-	names := make([]string, len(specs))
-	for i, ps := range specs {
-		names[i] = ps.Name
-	}
-	sort.Strings(names)
-	return names
+	np, err := registry.NormalizeParams(e.Kind, "", e.Params, p)
+	return Params(np), err
 }
 
 // Build normalizes p and constructs the predictor.
@@ -202,7 +68,7 @@ func Build(kind string, p Params, env Env) (Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, _ := Lookup(kind)
+	e, _ := Registry.Lookup(kind)
 	return e.New(np, env)
 }
 
@@ -213,7 +79,7 @@ func StateBytes(kind string, p Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	e, _ := Lookup(kind)
+	e, _ := Registry.Lookup(kind)
 	if e.StateBytes == nil {
 		return 0, nil
 	}

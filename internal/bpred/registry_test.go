@@ -5,46 +5,18 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/registry"
 )
 
 func TestRegistryBuiltinsRegistered(t *testing.T) {
-	kinds := Kinds()
+	kinds := Registry.Kinds()
 	if !sort.StringsAreSorted(kinds) {
-		t.Errorf("Kinds() not sorted: %v", kinds)
+		t.Errorf("Registry.Kinds() not sorted: %v", kinds)
 	}
 	for _, want := range []string{"gshare", "bimodal", "static", "oracle", "local", "combining", "tage"} {
-		if _, ok := Lookup(want); !ok {
+		if _, ok := Registry.Lookup(want); !ok {
 			t.Errorf("built-in kind %q not registered", want)
-		}
-	}
-}
-
-func TestRegisterRejectsBadEntries(t *testing.T) {
-	factory := func(Params, Env) (Predictor, error) { return Null{}, nil }
-	cases := []struct {
-		name string
-		e    Entry
-	}{
-		{"empty kind", Entry{New: factory}},
-		{"nil factory", Entry{Kind: "reg-test-nilfactory"}},
-		{"duplicate kind", Entry{Kind: "gshare", New: factory}},
-		{"case-folded duplicate", Entry{Kind: "  GSHARE ", New: factory}},
-		{"duplicate param", Entry{Kind: "reg-test-dupparam", New: factory,
-			Params: []ParamSpec{{Name: "x", Min: 0, Max: 1}, {Name: "x", Min: 0, Max: 1}}}},
-		{"empty param name", Entry{Kind: "reg-test-emptyparam", New: factory,
-			Params: []ParamSpec{{Name: "", Min: 0, Max: 1}}}},
-		{"empty range", Entry{Kind: "reg-test-emptyrange", New: factory,
-			Params: []ParamSpec{{Name: "x", Min: 2, Max: 1}}}},
-	}
-	for _, tc := range cases {
-		if err := Register(tc.e); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-	// None of the rejects may have landed in the registry.
-	for _, k := range Kinds() {
-		if strings.HasPrefix(k, "reg-test-") {
-			t.Errorf("rejected registration leaked into the registry: %q", k)
 		}
 	}
 }
@@ -64,22 +36,22 @@ func TestNormalizeParamsContract(t *testing.T) {
 		t.Error("NormalizeParams returned an alias of the caller's map")
 	}
 
-	// Unknown parameter name is a typed *ParamError naming the parameter.
+	// Unknown parameter name is a typed *registry.Error naming the parameter.
 	_, err = NormalizeParams("gshare", Params{"tables": 4})
-	var pe *ParamError
-	if !errors.As(err, &pe) || pe.Param != "tables" {
+	var pe *registry.Error
+	if !errors.As(err, &pe) || pe.Field != "tables" {
 		t.Fatalf("unknown param: got %v", err)
 	}
 
 	// Out-of-range value.
 	_, err = NormalizeParams("tage", Params{"tag_bits": 99})
-	if !errors.As(err, &pe) || pe.Param != "tag_bits" {
+	if !errors.As(err, &pe) || pe.Field != "tag_bits" {
 		t.Fatalf("out-of-range: got %v", err)
 	}
 
 	// Required parameter missing (gshare's hist_bits is required).
 	_, err = NormalizeParams("gshare", nil)
-	if !errors.As(err, &pe) || pe.Param != "hist_bits" {
+	if !errors.As(err, &pe) || pe.Field != "hist_bits" {
 		t.Fatalf("missing required: got %v", err)
 	}
 
@@ -109,8 +81,8 @@ func TestNormalizeParamsContract(t *testing.T) {
 
 func TestBuildConstructsEveryBuiltin(t *testing.T) {
 	env := Env{TargetOf: func(pc int) int { return pc + 1 }}
-	for _, kind := range Kinds() {
-		e, _ := Lookup(kind)
+	for _, kind := range Registry.Kinds() {
+		e, _ := Registry.Lookup(kind)
 		// Satisfy required parameters with a mid-range value so the loop
 		// stays schema-driven as new kinds are registered.
 		params := Params{}

@@ -73,14 +73,16 @@ var tageParamSpecs = []ParamSpec{
 	{Name: "max_hist", Doc: "longest tagged history", Min: 1, Max: 64, Default: 64},
 }
 
+// tageConfigFromParams reads normalized params, which carry every
+// schema parameter.
 func tageConfigFromParams(p Params) TageConfig {
 	return TageConfig{
-		BaseBits: p.Get("base_bits", 10),
-		Tables:   p.Get("tables", 4),
-		IdxBits:  p.Get("idx_bits", 5),
-		TagBits:  p.Get("tag_bits", 11),
-		MinHist:  p.Get("min_hist", 4),
-		MaxHist:  p.Get("max_hist", 64),
+		BaseBits: p["base_bits"],
+		Tables:   p["tables"],
+		IdxBits:  p["idx_bits"],
+		TagBits:  p["tag_bits"],
+		MinHist:  p["min_hist"],
+		MaxHist:  p["max_hist"],
 	}
 }
 
@@ -174,13 +176,6 @@ func geometricHistLens(min, max, n int) []int {
 		prev = l
 	}
 	return lens
-}
-
-// HistLens exposes the per-table history schedule (for tests and docs).
-func (t *Tage) HistLens() []int {
-	out := make([]int, len(t.histLens))
-	copy(out, t.histLens)
-	return out
 }
 
 // foldHist compresses the low histLen bits of hist into width bits by
@@ -393,7 +388,7 @@ func (t *Tage) Reset() {
 }
 
 func init() {
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		Kind:   "tage",
 		Doc:    "TAGE: base bimodal + tagged geometric-history tables, CLZ longest-match provider selection",
 		Params: tageParamSpecs,

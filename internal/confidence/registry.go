@@ -1,10 +1,9 @@
 package confidence
 
 import (
-	"fmt"
-	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/registry"
 )
 
 // Spec is the kind-agnostic description of a confidence estimator: the
@@ -27,18 +26,6 @@ type Spec struct {
 	Params map[string]int
 }
 
-// SpecError reports a spec field that violates a registered estimator's
-// constraints; the pipeline converts it into its typed config error.
-type SpecError struct {
-	Kind   string
-	Field  string
-	Reason string
-}
-
-func (e *SpecError) Error() string {
-	return fmt.Sprintf("confidence: %s: %s: %s", e.Kind, e.Field, e.Reason)
-}
-
 // Entry describes one registered estimator kind. Normalize validates the
 // spec and returns its canonical form (inert fields zeroed, defaults
 // filled); New constructs the estimator from a normalized spec; StateBytes
@@ -51,80 +38,24 @@ type Entry struct {
 	StateBytes func(Spec) int
 }
 
-type registry struct {
-	mu      sync.RWMutex
-	entries map[string]Entry
-}
-
-var reg = &registry{entries: make(map[string]Entry)}
-
-// Register adds an estimator kind; duplicate or malformed registrations
-// are errors, never silent replacement.
-func Register(e Entry) error {
-	e.Kind = strings.ToLower(strings.TrimSpace(e.Kind))
-	if e.Kind == "" {
-		return fmt.Errorf("confidence: register: empty kind")
-	}
-	if e.New == nil {
-		return fmt.Errorf("confidence: register %q: nil factory", e.Kind)
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, dup := reg.entries[e.Kind]; dup {
-		return fmt.Errorf("confidence: register %q: already registered", e.Kind)
-	}
-	reg.entries[e.Kind] = e
-	return nil
-}
-
-// MustRegister is Register for init-time built-ins; it panics on error.
-func MustRegister(e Entry) {
-	if err := Register(e); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the entry for a kind (case-insensitive).
-func Lookup(kind string) (Entry, bool) {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	e, ok := reg.entries[strings.ToLower(strings.TrimSpace(kind))]
-	return e, ok
-}
-
-// Kinds returns the registered kind spellings, sorted.
-func Kinds() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]string, 0, len(reg.entries))
-	for k := range reg.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// Registry holds every estimator kind, built-in or registered at runtime.
+var Registry = registry.New("confidence", "confidence", func(e *Entry) registry.Meta {
+	return registry.Meta{Kind: &e.Kind, Hooks: []registry.Hook{{Name: "New", Set: e.New != nil}, {Name: "Normalize", Set: e.Normalize != nil}}}
+})
 
 // Normalize validates s against its kind's constraints and returns the
 // canonical spec. The returned spec never aliases s.Params.
 func Normalize(s Spec) (Spec, error) {
-	e, ok := Lookup(s.Kind)
-	if !ok {
-		return Spec{}, fmt.Errorf("confidence: unknown estimator kind %q (registered: %s)", s.Kind, strings.Join(Kinds(), ", "))
+	e, err := Registry.Get(s.Kind)
+	if err != nil {
+		return Spec{}, err
 	}
 	s.Kind = e.Kind
 	ns, err := e.Normalize(s)
 	if err != nil {
 		return Spec{}, err
 	}
-	if len(ns.Params) == 0 {
-		ns.Params = nil
-	} else {
-		clone := make(map[string]int, len(ns.Params))
-		for k, v := range ns.Params {
-			clone[k] = v
-		}
-		ns.Params = clone
-	}
+	ns.Params = registry.CloneParams(ns.Params)
 	return ns, nil
 }
 
@@ -134,7 +65,7 @@ func Build(s Spec) (Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, _ := Lookup(ns.Kind)
+	e, _ := Registry.Lookup(ns.Kind)
 	return e.New(ns)
 }
 
@@ -144,7 +75,7 @@ func SpecStateBytes(s Spec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	e, _ := Lookup(ns.Kind)
+	e, _ := Registry.Lookup(ns.Kind)
 	if e.StateBytes == nil {
 		return 0, nil
 	}
@@ -155,12 +86,8 @@ func SpecStateBytes(s Spec) (int, error) {
 // Params map.
 func rejectParams(kind string, s Spec) error {
 	if len(s.Params) > 0 {
-		names := make([]string, 0, len(s.Params))
-		for k := range s.Params {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		return &SpecError{Kind: kind, Field: "Params", Reason: fmt.Sprintf("kind accepts no extra parameters (got %s)", strings.Join(names, ", "))}
+		names := registry.SortedNames(s.Params, nil)
+		return registry.Errorf(kind, "Params", "kind accepts no extra parameters (got %s)", strings.Join(names, ", "))
 	}
 	return nil
 }
@@ -172,13 +99,13 @@ func normalizeJRSFields(kind string, s Spec) (Spec, error) {
 		return Spec{}, err
 	}
 	if s.IndexBits < 1 || s.IndexBits > 28 {
-		return Spec{}, &SpecError{Kind: kind, Field: "IndexBits", Reason: fmt.Sprintf("%d out of [1,28]", s.IndexBits)}
+		return Spec{}, registry.Errorf(kind, "IndexBits", "%d out of [1,28]", s.IndexBits)
 	}
 	if s.CtrBits < 1 || s.CtrBits > 8 {
-		return Spec{}, &SpecError{Kind: kind, Field: "CtrBits", Reason: fmt.Sprintf("%d out of [1,8]", s.CtrBits)}
+		return Spec{}, registry.Errorf(kind, "CtrBits", "%d out of [1,8]", s.CtrBits)
 	}
 	if max := (1 << uint(s.CtrBits)) - 1; s.Threshold < 0 || s.Threshold > max {
-		return Spec{}, &SpecError{Kind: kind, Field: "Threshold", Reason: fmt.Sprintf("%d exceeds the %d-bit counter maximum %d (0 selects saturation)", s.Threshold, s.CtrBits, max)}
+		return Spec{}, registry.Errorf(kind, "Threshold", "%d exceeds the %d-bit counter maximum %d (0 selects saturation)", s.Threshold, s.CtrBits, max)
 	}
 	return s, nil
 }
@@ -209,7 +136,7 @@ func degenerateEntry(kind, doc string, est Estimator) Entry {
 }
 
 func init() {
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		Kind: "jrs",
 		Doc:  "Jacobsen-Rotenberg-Smith resetting counters (the paper's estimator)",
 		Normalize: func(s Spec) (Spec, error) {
@@ -224,7 +151,7 @@ func init() {
 		New:        func(s Spec) (Estimator, error) { return jrsFromSpec(s), nil },
 		StateBytes: func(s Spec) int { return (1 << uint(s.IndexBits)) * s.CtrBits / 8 },
 	})
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		Kind: "adaptive",
 		Doc:  "JRS wrapped with the Sec. 5.1 PVN monitor (reverts to monopath when PVN drops)",
 		Normalize: func(s Spec) (Spec, error) {
@@ -233,10 +160,10 @@ func init() {
 				return Spec{}, err
 			}
 			if ns.AdaptiveMinPVN < 0 || ns.AdaptiveMinPVN >= 1 {
-				return Spec{}, &SpecError{Kind: "adaptive", Field: "AdaptiveMinPVN", Reason: fmt.Sprintf("%g out of [0,1) (0 selects the default 0.30)", ns.AdaptiveMinPVN)}
+				return Spec{}, registry.Errorf("adaptive", "AdaptiveMinPVN", "%g out of [0,1) (0 selects the default 0.30)", ns.AdaptiveMinPVN)
 			}
 			if ns.AdaptiveWindow != 0 && ns.AdaptiveWindow < 8 {
-				return Spec{}, &SpecError{Kind: "adaptive", Field: "AdaptiveWindow", Reason: fmt.Sprintf("%d must be 0 (default 256) or >= 8", ns.AdaptiveWindow)}
+				return Spec{}, registry.Errorf("adaptive", "AdaptiveWindow", "%d must be 0 (default 256) or >= 8", ns.AdaptiveWindow)
 			}
 			if ns.AdaptiveMinPVN == 0 {
 				ns.AdaptiveMinPVN = 0.30
@@ -253,7 +180,7 @@ func init() {
 			return (1<<uint(s.IndexBits))*s.CtrBits/8 + s.AdaptiveWindow/8 + 4
 		},
 	})
-	MustRegister(degenerateEntry("oracle", "perfect estimator: low confidence exactly on mispredictions", Oracle{}))
-	MustRegister(degenerateEntry("always-high", "never diverge (monopath behaviour)", AlwaysHigh{}))
-	MustRegister(degenerateEntry("always-low", "diverge on every branch resources permit", AlwaysLow{}))
+	Registry.MustRegister(degenerateEntry("oracle", "perfect estimator: low confidence exactly on mispredictions", Oracle{}))
+	Registry.MustRegister(degenerateEntry("always-high", "never diverge (monopath behaviour)", AlwaysHigh{}))
+	Registry.MustRegister(degenerateEntry("always-low", "diverge on every branch resources permit", AlwaysLow{}))
 }

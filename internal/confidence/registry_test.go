@@ -6,35 +6,18 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/registry"
 )
 
 func TestConfRegistryBuiltins(t *testing.T) {
-	kinds := Kinds()
+	kinds := Registry.Kinds()
 	if !sort.StringsAreSorted(kinds) {
-		t.Errorf("Kinds() not sorted: %v", kinds)
+		t.Errorf("Registry.Kinds() not sorted: %v", kinds)
 	}
 	for _, want := range []string{"jrs", "adaptive", "oracle", "always-high", "always-low"} {
-		if _, ok := Lookup(want); !ok {
+		if _, ok := Registry.Lookup(want); !ok {
 			t.Errorf("built-in kind %q not registered", want)
-		}
-	}
-}
-
-func TestConfRegisterRejectsBadEntries(t *testing.T) {
-	factory := func(Spec) (Estimator, error) { return AlwaysHigh{}, nil }
-	norm := func(s Spec) (Spec, error) { return s, nil }
-	cases := []struct {
-		name string
-		e    Entry
-	}{
-		{"empty kind", Entry{Normalize: norm, New: factory}},
-		{"nil factory", Entry{Kind: "conf-test-nilfactory", Normalize: norm}},
-		{"duplicate", Entry{Kind: "jrs", Normalize: norm, New: factory}},
-		{"case-folded duplicate", Entry{Kind: " JRS ", Normalize: norm, New: factory}},
-	}
-	for _, tc := range cases {
-		if err := Register(tc.e); err == nil {
-			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }
@@ -71,9 +54,9 @@ func TestConfNormalizeJRSBounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		_, err := Normalize(tc.spec)
-		var se *SpecError
+		var se *registry.Error
 		if !errors.As(err, &se) || se.Field != tc.field {
-			t.Errorf("spec %+v: want SpecError on %s, got %v", tc.spec, tc.field, err)
+			t.Errorf("spec %+v: want *registry.Error on %s, got %v", tc.spec, tc.field, err)
 		}
 	}
 }
@@ -104,7 +87,7 @@ func TestConfNormalizeUnknownKindListsRegistry(t *testing.T) {
 }
 
 func TestConfBuildEveryBuiltin(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range Registry.Kinds() {
 		est, err := Build(Spec{Kind: kind, IndexBits: 8, CtrBits: 2})
 		if err != nil {
 			t.Errorf("Build(%q): %v", kind, err)

@@ -56,29 +56,11 @@ func Run(prog *isa.Program, cfg Config) (*Result, error) {
 // cycle loop: cancelling (or timing out) the context aborts the simulation
 // promptly with the context's error.
 func RunContext(ctx context.Context, prog *isa.Program, cfg Config) (*Result, error) {
-	return runWithTracer(ctx, prog, cfg, nil)
+	return RunCell(ctx, prog, cfg, nil, nil)
 }
 
-// RunWithTracer is Run with a pipeline tracer attached (e.g. a
-// pipeline.PipeTrace collecting per-instruction stage timelines).
-func RunWithTracer(prog *isa.Program, cfg Config, tr pipeline.Tracer) (*Result, error) {
-	return runWithTracer(context.Background(), prog, cfg, tr)
-}
-
-// RunContextTracer combines RunContext and RunWithTracer: cooperative
-// cancellation plus an attached pipeline tracer (e.g. an obs.Ring
-// capturing a bounded cycle-level event stream). Tracing is observation
-// only; the result is bit-identical to an untraced run.
-func RunContextTracer(ctx context.Context, prog *isa.Program, cfg Config, tr pipeline.Tracer) (*Result, error) {
-	return runWithTracer(ctx, prog, cfg, tr)
-}
-
-func runWithTracer(ctx context.Context, prog *isa.Program, cfg Config, tr pipeline.Tracer) (*Result, error) {
-	return RunCell(ctx, prog, cfg, tr, nil)
-}
-
-// RunCell is the experiment-sweep entry point: RunContextTracer plus
-// arena-style buffer recycling. A worker that runs cells back-to-back
+// RunCell is the experiment-sweep entry point: RunContext plus an optional
+// pipeline tracer and arena-style buffer recycling. A worker that runs cells back-to-back
 // passes the same *pipeline.Arena each time; the machine draws its large
 // allocations (memory image, register file, window, scheduler state,
 // pools) from the arena and donates them back after a successful,

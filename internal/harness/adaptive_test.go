@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -74,5 +76,50 @@ func TestAdaptiveRowInvariants(t *testing.T) {
 	}
 	if row.OnlineIPC <= 0 {
 		t.Errorf("online IPC = %v, want > 0", row.OnlineIPC)
+	}
+}
+
+// TestAdaptiveSmokeGolden is the adaptive-policy gate on the phased
+// PVN-anomaly showcase (m88ksim-phased, 150k instructions):
+//
+//  1. the rendered fig-adaptive table is byte-identical to the committed
+//     golden scripts/golden/adaptive_smoke_150k.txt, and byte-identical
+//     between 1 and 4 worker shards;
+//  2. on full-precision values, the online bandit strictly beats every
+//     static candidate and reaches at least 90% of the per-epoch oracle.
+//
+// An intentional policy or workload change ships by regenerating the
+// golden:
+//
+//	go run ./cmd/experiments -exp fig-adaptive -bench m88ksim-phased -insts 150000 | sed '1d' > scripts/golden/adaptive_smoke_150k.txt
+func TestAdaptiveSmokeGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "scripts", "golden", "adaptive_smoke_150k.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(parallelism int) *AdaptiveResult {
+		res, err := Adaptive(Options{TargetInsts: 150_000, Benchmarks: []string{"m88ksim-phased"}, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run(4)
+	// The CLI prints Render() followed by a newline.
+	if got := res.Render() + "\n"; got != string(golden) {
+		t.Fatalf("fig-adaptive table diverged from the golden:\n got:\n%s\nwant:\n%s", got, golden)
+	}
+	if seq := run(1).Render(); seq != res.Render() {
+		t.Fatalf("fig-adaptive output differs between 4 and 1 shards:\n j4:\n%s\n j1:\n%s", res.Render(), seq)
+	}
+	for _, row := range res.Rows {
+		for i, ipc := range row.StaticIPC {
+			if row.OnlineIPC <= ipc {
+				t.Errorf("%s: online IPC %.6f does not beat static/%s %.6f", row.Benchmark, row.OnlineIPC, res.CandidateNames[i], ipc)
+			}
+		}
+		if row.OnlineIPC < 0.9*row.OracleIPC {
+			t.Errorf("%s: online IPC %.6f below 90%% of oracle %.6f", row.Benchmark, row.OnlineIPC, row.OracleIPC)
+		}
 	}
 }

@@ -223,8 +223,16 @@ func (s *SweepResult) Render() string {
 	return b.String()
 }
 
+// sweepPoint is one x-axis point of a Figures 9-12 sweep: its label, its
+// x value, and the option that moves every plotted configuration there.
+type sweepPoint struct {
+	label string
+	x     float64
+	opt   pipeline.Option
+}
+
 // sweepConfigs are the four configurations plotted in Figures 9-12.
-func sweepConfigs(mutate func(*core.Config)) []NamedConfig {
+func sweepConfigs(opt pipeline.Option) []NamedConfig {
 	ncs := []NamedConfig{
 		{Name: "oracle", Cfg: core.ConfigOracleBP()},
 		{Name: "gshare/monopath", Cfg: core.ConfigMonopath()},
@@ -232,16 +240,12 @@ func sweepConfigs(mutate func(*core.Config)) []NamedConfig {
 		{Name: "gshare/JRS", Cfg: core.ConfigSEE()},
 	}
 	for i := range ncs {
-		mutate(&ncs[i].Cfg)
+		opt(&ncs[i].Cfg)
 	}
 	return ncs
 }
 
-func runSweep(opts Options, title, xlabel string, points []struct {
-	label  string
-	x      float64
-	mutate func(*core.Config)
-}) (*SweepResult, error) {
+func runSweep(opts Options, title, xlabel string, points []sweepPoint) (*SweepResult, error) {
 	res := &SweepResult{
 		Title:  title,
 		XLabel: xlabel,
@@ -250,27 +254,33 @@ func runSweep(opts Options, title, xlabel string, points []struct {
 		},
 	}
 	for _, pt := range points {
-		mat, err := runMatrix(opts, sweepConfigs(pt.mutate))
+		mat, err := runMatrix(opts, sweepConfigs(pt.opt))
 		if err != nil {
 			return nil, err
 		}
-		sp := SweepPoint{
-			Label:    pt.label,
-			X:        pt.x,
-			IPC:      make(map[string]float64),
-			PerBench: make(map[string]map[string]float64),
-		}
-		for _, c := range res.Configs {
-			sp.IPC[c] = mat.HarmonicMean(c)
-			row := make(map[string]float64, len(mat.Benchmarks))
-			for _, b := range mat.Benchmarks {
-				row[b] = mat.IPC(b, c)
-			}
-			sp.PerBench[c] = row
-		}
-		res.Points = append(res.Points, sp)
+		res.Points = append(res.Points, newSweepPoint(pt.label, pt.x, res.Configs, mat))
 	}
 	return res, nil
+}
+
+// newSweepPoint collects a matrix's harmonic-mean and per-benchmark IPC
+// for the plotted configs.
+func newSweepPoint(label string, x float64, configs []string, mat *Matrix) SweepPoint {
+	sp := SweepPoint{
+		Label:    label,
+		X:        x,
+		IPC:      make(map[string]float64),
+		PerBench: make(map[string]map[string]float64),
+	}
+	for _, c := range configs {
+		sp.IPC[c] = mat.HarmonicMean(c)
+		row := make(map[string]float64, len(mat.Benchmarks))
+		for _, b := range mat.Benchmarks {
+			row[b] = mat.IPC(b, c)
+		}
+		sp.PerBench[c] = row
+	}
+	return sp
 }
 
 // Figure9 reproduces the branch-predictor-size scalability study: IPC as a
@@ -279,27 +289,11 @@ func runSweep(opts Options, title, xlabel string, points []struct {
 // around its 14-bit baseline; this reproduction sweeps the same span
 // around its scaled 11-bit baseline (see DESIGN.md).
 func Figure9(opts Options) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		x      float64
-		mutate func(*core.Config)
-	}
+	var points []sweepPoint
 	for _, bits := range []int{8, 9, 10, 11, 12, 13, 14} {
-		bits := bits
 		pred := 1 << uint(bits) / 4 // 2-bit counters
 		conf := 1 << uint(bits) / 8 // 1-bit counters
-		points = append(points, struct {
-			label  string
-			x      float64
-			mutate func(*core.Config)
-		}{
-			label: fmt.Sprintf("%d bits (%d B)", bits, pred+conf),
-			x:     float64(pred + conf),
-			mutate: func(c *core.Config) {
-				c.Predictor = c.Predictor.WithParam("hist_bits", bits)
-				c.Confidence.IndexBits = bits
-			},
-		})
+		points = append(points, sweepPoint{fmt.Sprintf("%d bits (%d B)", bits, pred+conf), float64(pred + conf), pipeline.WithHistoryBits(bits)})
 	}
 	return runSweep(opts, "Figure 9: branch predictor size (harmonic mean IPC)", "predictor state", points)
 }
@@ -323,15 +317,12 @@ func Figure9TAGE(opts Options) (*SweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		tageParams := map[string]int(bpred.TageIsoParams(bits))
 		confBytes := 1 << uint(bits) / 8 // 1-bit JRS counters
-		gshare := func(c *core.Config) {
-			c.Predictor = c.Predictor.WithParam("hist_bits", bits)
-			c.Confidence.IndexBits = bits
-		}
+		gshare := pipeline.WithHistoryBits(bits)
+		tageSpec := pipeline.PredictorSpec{Kind: pipeline.PredTage, Params: bpred.TageIsoParams(bits)}
 		tage := func(c *core.Config) {
-			c.Predictor = pipeline.PredictorSpec{Kind: pipeline.PredTage, Params: tageParams}
-			c.Confidence.IndexBits = bits
+			gshare(c) // sizes the JRS index to the budget
+			c.Predictor = tageSpec
 		}
 		mono, see := core.ConfigMonopath(), core.ConfigSEE()
 		cells := []NamedConfig{
@@ -340,55 +331,23 @@ func Figure9TAGE(opts Options) (*SweepResult, error) {
 			{Name: "gshare/JRS", Cfg: see},
 			{Name: "tage/JRS", Cfg: see},
 		}
-		gshare(&cells[0].Cfg)
-		tage(&cells[1].Cfg)
-		gshare(&cells[2].Cfg)
-		tage(&cells[3].Cfg)
+		for i, opt := range []pipeline.Option{gshare, tage, gshare, tage} {
+			opt(&cells[i].Cfg)
+		}
 		mat, err := runMatrix(opts, cells)
 		if err != nil {
 			return nil, err
 		}
-		sp := SweepPoint{
-			Label:    fmt.Sprintf("%d bits (%d B)", bits, predBytes+confBytes),
-			X:        float64(predBytes + confBytes),
-			IPC:      make(map[string]float64),
-			PerBench: make(map[string]map[string]float64),
-		}
-		for _, c := range res.Configs {
-			sp.IPC[c] = mat.HarmonicMean(c)
-			row := make(map[string]float64, len(mat.Benchmarks))
-			for _, b := range mat.Benchmarks {
-				row[b] = mat.IPC(b, c)
-			}
-			sp.PerBench[c] = row
-		}
-		res.Points = append(res.Points, sp)
+		res.Points = append(res.Points, newSweepPoint(fmt.Sprintf("%d bits (%d B)", bits, predBytes+confBytes), float64(predBytes+confBytes), res.Configs, mat))
 	}
 	return res, nil
 }
 
 // Figure10 reproduces the instruction-window-size study (64-1024 entries).
 func Figure10(opts Options) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		x      float64
-		mutate func(*core.Config)
-	}
+	var points []sweepPoint
 	for _, w := range []int{64, 128, 256, 512, 1024} {
-		w := w
-		points = append(points, struct {
-			label  string
-			x      float64
-			mutate func(*core.Config)
-		}{
-			label: fmt.Sprintf("%d entries", w),
-			x:     float64(w),
-			mutate: func(c *core.Config) {
-				c.WindowSize = w
-				c.PhysRegs = 0    // re-derive
-				c.Checkpoints = 0 // re-derive
-			},
-		})
+		points = append(points, sweepPoint{fmt.Sprintf("%d entries", w), float64(w), pipeline.WithWindowSize(w)})
 	}
 	return runSweep(opts, "Figure 10: instruction window size (harmonic mean IPC)", "window entries", points)
 }
@@ -396,28 +355,9 @@ func Figure10(opts Options) (*SweepResult, error) {
 // Figure11 reproduces the functional-unit-configuration study: 1-4 units
 // of each type (and memory ports), scaled uniformly as in the paper.
 func Figure11(opts Options) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		x      float64
-		mutate func(*core.Config)
-	}
+	var points []sweepPoint
 	for _, n := range []int{1, 2, 3, 4} {
-		n := n
-		points = append(points, struct {
-			label  string
-			x      float64
-			mutate func(*core.Config)
-		}{
-			label: fmt.Sprintf("%d of each", n),
-			x:     float64(n),
-			mutate: func(c *core.Config) {
-				c.NumIntType0 = n
-				c.NumIntType1 = n
-				c.NumFPAdd = n
-				c.NumFPMul = n
-				c.NumMemPorts = n
-			},
-		})
+		points = append(points, sweepPoint{fmt.Sprintf("%d of each", n), float64(n), pipeline.WithUniformUnits(n)})
 	}
 	return runSweep(opts, "Figure 11: functional unit configuration (harmonic mean IPC)", "units per type", points)
 }
@@ -425,24 +365,9 @@ func Figure11(opts Options) (*SweepResult, error) {
 // Figure12 reproduces the pipeline-depth study: total depths 6-10, varied
 // through the in-order front end as in the paper.
 func Figure12(opts Options) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		x      float64
-		mutate func(*core.Config)
-	}
+	var points []sweepPoint
 	for _, depth := range []int{6, 7, 8, 9, 10} {
-		depth := depth
-		points = append(points, struct {
-			label  string
-			x      float64
-			mutate func(*core.Config)
-		}{
-			label: fmt.Sprintf("%d stages", depth),
-			x:     float64(depth),
-			mutate: func(c *core.Config) {
-				c.FrontEndStages = depth - 3
-			},
-		})
+		points = append(points, sweepPoint{fmt.Sprintf("%d stages", depth), float64(depth), pipeline.WithPipelineDepth(depth)})
 	}
 	return runSweep(opts, "Figure 12: pipeline depth (harmonic mean IPC)", "pipeline stages", points)
 }

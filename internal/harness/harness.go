@@ -179,7 +179,7 @@ func (o Options) parallelism() int {
 }
 
 // lookup resolves a benchmark name: job-scoped Extra workloads first, then
-// the workload registry (suite, extended families, runtime registrations).
+// workload.ByName (Table 1 suite, extended families).
 func (o Options) lookup(name string) (workload.Benchmark, error) {
 	for _, b := range o.Extra {
 		if b.Spec.Name != name {

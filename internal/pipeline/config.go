@@ -12,13 +12,13 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/confidence"
 	"repro/internal/ctxtag"
 	"repro/internal/policy"
+	"repro/internal/registry"
 )
 
 // Mode selects the execution model.
@@ -46,9 +46,9 @@ func (m Mode) String() string {
 }
 
 // PredictorKind names a branch direction predictor registered in
-// bpred.Registry. The set of valid kinds is open: any kind registered with
-// bpred.Register (built-in or at runtime) is accepted, and ParsePredictorKind
-// enumerates the currently registered set.
+// bpred.Registry. The set of valid kinds is open: any registered kind
+// (built-in or at runtime) is accepted, and ParsePredictorKind enumerates
+// the currently registered set.
 type PredictorKind string
 
 // Built-in predictor kinds. These constants are retained for source
@@ -160,52 +160,36 @@ type ConfidenceSpec struct {
 // opaque (kind, epoch, candidates, parameters) tuple resolved against
 // policy.Registry — the same open-registry shape as PredictorSpec and
 // ConfidenceSpec, so adding a controller requires edits only under
-// internal/policy. The zero value means "no controller".
-type PolicySpec struct {
-	// Kind names a registered controller ("static", "oracle", "online",
-	// or any runtime registration); empty disables policy control.
-	Kind string
-	// EpochCycles is the actuation interval in cycles (0 = the registry
-	// default).
-	EpochCycles int
-	// Candidates is the setting set the controller selects over.
-	Candidates []policy.Setting
-	// Params carries the kind's integer parameters by schema name.
-	Params map[string]int
-}
+// internal/policy. The zero value (empty Kind) means "no controller".
+type PolicySpec = policy.Spec
 
-// spec converts to the policy package's spec type.
-func (ps PolicySpec) spec() policy.Spec {
-	return policy.Spec{
-		Kind:        ps.Kind,
-		EpochCycles: ps.EpochCycles,
-		Candidates:  ps.Candidates,
-		Params:      ps.Params,
-	}
-}
-
-// normalize resolves the spec against policy.Registry. The zero spec
+// normalizePolicy resolves the spec against policy.Registry. The zero spec
 // passes through unchanged; anything else is validated and canonicalized.
-func (ps PolicySpec) normalize() (PolicySpec, error) {
+func normalizePolicy(ps PolicySpec) (PolicySpec, error) {
 	if ps.Kind == "" {
 		// No controller: candidates/epoch/params are inert, canonicalize
 		// them away so equivalent configs hash identically.
 		return PolicySpec{}, nil
 	}
-	ns, err := policy.Normalize(ps.spec())
+	ns, err := policy.Normalize(ps)
 	if err != nil {
-		var se *policy.SpecError
-		if errors.As(err, &se) {
-			return ps, cfgErr("Policy."+se.Field, "%s (kind %s)", se.Reason, se.Kind)
-		}
-		return ps, cfgErr("Policy.Kind", "unknown policy kind %q (registered: %s)", ps.Kind, strings.Join(policy.Kinds(), ", "))
+		return ps, specErr("Policy", err)
 	}
-	return PolicySpec{
-		Kind:        ns.Kind,
-		EpochCycles: ns.EpochCycles,
-		Candidates:  ns.Candidates,
-		Params:      ns.Params,
-	}, nil
+	return ns, nil
+}
+
+// specErr converts a registry validation error into a *ConfigError under
+// the config group ("Predictor", "Confidence", "Policy").
+func specErr(group string, err error) error {
+	var re *registry.Error
+	switch {
+	case !errors.As(err, &re):
+		return cfgErr(group, "%v", err)
+	case re.Field == "Kind":
+		return cfgErr(group+".Kind", "%s", re.Reason)
+	default:
+		return cfgErr(group+"."+re.Field, "%s (kind %s)", re.Reason, re.Kind)
+	}
 }
 
 // Config describes the simulated machine. DefaultConfig returns the
@@ -410,7 +394,7 @@ func (c Config) normalize() (Config, error) {
 		return c, err
 	}
 	c.Confidence = nc
-	npol, err := c.Policy.normalize()
+	npol, err := normalizePolicy(c.Policy)
 	if err != nil {
 		return c, err
 	}
@@ -474,10 +458,10 @@ func (c Config) normalize() (Config, error) {
 // returned spec's parameter map is canonical and freshly allocated (inert
 // and unknown-name errors surface as *ConfigError, never panics).
 func (p PredictorSpec) normalize() (PredictorSpec, error) {
-	if _, ok := bpred.Lookup(string(p.Kind)); !ok {
-		return p, cfgErr("Predictor.Kind", "unknown predictor kind %q (registered: %s)", string(p.Kind), strings.Join(bpred.Kinds(), ", "))
+	if _, err := bpred.Registry.Get(string(p.Kind)); err != nil {
+		return p, specErr("Predictor", err)
 	}
-	p.Kind = PredictorKind(strings.ToLower(strings.TrimSpace(string(p.Kind))))
+	p.Kind = PredictorKind(registry.Canonical(string(p.Kind)))
 	// hist_bits is the legacy sizing field every pre-registry config carried;
 	// on the legacy v1 kinds whose schema has no such parameter (static,
 	// oracle) it was inert, and normalization canonicalizes it away rather
@@ -496,20 +480,15 @@ func (p PredictorSpec) normalize() (PredictorSpec, error) {
 	}
 	np, err := bpred.NormalizeParams(string(p.Kind), bpred.Params(p.Params))
 	if err != nil {
-		var pe *bpred.ParamError
-		if errors.As(err, &pe) {
-			return p, cfgErr("Predictor."+pe.Param, "%s (kind %s)", pe.Reason, pe.Kind)
-		}
-		return p, cfgErr("Predictor", "%v", err)
+		return p, specErr("Predictor", err)
 	}
 	p.Params = np
 	return p, nil
 }
 
-// normalize resolves the spec against confidence.Registry, canonicalizing
-// inert fields and filling kind defaults.
-func (cs ConfidenceSpec) normalize() (ConfidenceSpec, error) {
-	ns, err := confidence.Normalize(confidence.Spec{
+// spec converts to the confidence package's spec type.
+func (cs ConfidenceSpec) spec() confidence.Spec {
+	return confidence.Spec{
 		Kind:           string(cs.Kind),
 		IndexBits:      cs.IndexBits,
 		CtrBits:        cs.CtrBits,
@@ -518,13 +497,15 @@ func (cs ConfidenceSpec) normalize() (ConfidenceSpec, error) {
 		AdaptiveMinPVN: cs.AdaptiveMinPVN,
 		AdaptiveWindow: cs.AdaptiveWindow,
 		Params:         cs.Params,
-	})
+	}
+}
+
+// normalize resolves the spec against confidence.Registry, canonicalizing
+// inert fields and filling kind defaults.
+func (cs ConfidenceSpec) normalize() (ConfidenceSpec, error) {
+	ns, err := confidence.Normalize(cs.spec())
 	if err != nil {
-		var se *confidence.SpecError
-		if errors.As(err, &se) {
-			return cs, cfgErr("Confidence."+se.Field, "%s (kind %s)", se.Reason, se.Kind)
-		}
-		return cs, cfgErr("Confidence.Kind", "unknown confidence kind %q (registered: %s)", string(cs.Kind), strings.Join(confidence.Kinds(), ", "))
+		return cs, specErr("Confidence", err)
 	}
 	return ConfidenceSpec{
 		Kind:           ConfidenceKind(ns.Kind),
@@ -536,18 +517,4 @@ func (cs ConfidenceSpec) normalize() (ConfidenceSpec, error) {
 		AdaptiveWindow: ns.AdaptiveWindow,
 		Params:         ns.Params,
 	}, nil
-}
-
-// buildConfidence constructs the estimator for a (normalized or raw) spec.
-func buildConfidence(cs ConfidenceSpec) (confidence.Estimator, error) {
-	return confidence.Build(confidence.Spec{
-		Kind:           string(cs.Kind),
-		IndexBits:      cs.IndexBits,
-		CtrBits:        cs.CtrBits,
-		Threshold:      cs.Threshold,
-		EnhancedIndex:  cs.EnhancedIndex,
-		AdaptiveMinPVN: cs.AdaptiveMinPVN,
-		AdaptiveWindow: cs.AdaptiveWindow,
-		Params:         cs.Params,
-	})
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/policy"
+	"repro/internal/registry"
 )
 
 // SchemaV1 is the wire-format identifier of the original versioned
@@ -452,16 +453,8 @@ func DecodeConfigV1(data []byte) (Config, error) {
 // predictorAcceptsParam reports whether a registered kind's schema
 // declares the named parameter.
 func predictorAcceptsParam(kind PredictorKind, name string) bool {
-	e, ok := bpred.Lookup(string(kind))
-	if !ok {
-		return false
-	}
-	for _, ps := range e.Params {
-		if ps.Name == name {
-			return true
-		}
-	}
-	return false
+	e, ok := bpred.Registry.Lookup(string(kind))
+	return ok && registry.HasParam(e.Params, name)
 }
 
 // DecodeConfigV2 parses polypath/v2 JSON into a validated Config.

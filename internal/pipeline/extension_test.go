@@ -12,8 +12,8 @@ import (
 // internal/bpred: it predicts taken whenever its single counter of the last
 // "stride" outcomes is majority-taken. It exists to prove the acceptance
 // criterion of the registry redesign — a new predictor plugs in through
-// bpred.Register alone, with no edits to the pipeline, wire format, or
-// CLIs.
+// bpred.Registry.Register alone, with no edits to the pipeline, wire
+// format, or CLIs.
 type toyPredictor struct {
 	window uint64
 	stride int
@@ -44,7 +44,7 @@ var registerToyOnce sync.Once
 func registerToy(t *testing.T) {
 	t.Helper()
 	registerToyOnce.Do(func() {
-		err := bpred.Register(bpred.Entry{
+		err := bpred.Registry.Register(bpred.Entry{
 			Kind: "toy-majority",
 			Doc:  "test-only majority-vote predictor",
 			Params: []bpred.ParamSpec{

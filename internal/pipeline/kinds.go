@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/confidence"
+	"repro/internal/registry"
 )
 
 // This file is the single source of truth for the textual spellings of the
@@ -61,33 +62,28 @@ func ParseMode(s string) (Mode, error) {
 	return parseKind("Mode", s, modeNames)
 }
 
-// ParsePredictorKind resolves a predictor spelling against bpred.Registry.
-// The error for an unknown spelling lists the currently registered kinds.
-func ParsePredictorKind(s string) (PredictorKind, error) {
-	want := strings.ToLower(strings.TrimSpace(s))
-	if _, ok := bpred.Lookup(want); ok {
-		return PredictorKind(want), nil
+// parseRegistered resolves a case-insensitive spelling against a kind
+// registry; unknown spellings list the registered kinds.
+func parseRegistered[E any](field, s string, r *registry.Registry[E]) (string, error) {
+	want := registry.Canonical(s)
+	if _, ok := r.Lookup(want); ok {
+		return want, nil
 	}
-	return "", &ConfigError{Field: "Predictor.Kind", Reason: fmt.Sprintf("unknown value %q (registered: %s)", s, strings.Join(bpred.Kinds(), ", "))}
+	return "", &ConfigError{Field: field, Reason: fmt.Sprintf("unknown value %q (registered: %s)", s, strings.Join(r.Kinds(), ", "))}
+}
+
+// ParsePredictorKind resolves a predictor spelling against bpred.Registry.
+func ParsePredictorKind(s string) (PredictorKind, error) {
+	k, err := parseRegistered("Predictor.Kind", s, bpred.Registry)
+	return PredictorKind(k), err
 }
 
 // ParseConfidenceKind resolves a confidence-estimator spelling against
-// confidence.Registry; unknown spellings list the registered kinds.
+// confidence.Registry.
 func ParseConfidenceKind(s string) (ConfidenceKind, error) {
-	want := strings.ToLower(strings.TrimSpace(s))
-	if _, ok := confidence.Lookup(want); ok {
-		return ConfidenceKind(want), nil
-	}
-	return "", &ConfigError{Field: "Confidence.Kind", Reason: fmt.Sprintf("unknown value %q (registered: %s)", s, strings.Join(confidence.Kinds(), ", "))}
+	k, err := parseRegistered("Confidence.Kind", s, confidence.Registry)
+	return ConfidenceKind(k), err
 }
-
-// PredictorKinds returns the currently registered predictor kinds, sorted
-// (for CLI help text and docs).
-func PredictorKinds() []string { return bpred.Kinds() }
-
-// ConfidenceKinds returns the currently registered confidence-estimator
-// kinds, sorted.
-func ConfidenceKinds() []string { return confidence.Kinds() }
 
 // ParseFetchPolicy parses a fetch-policy spelling ("exponential",
 // "round-robin").

@@ -14,13 +14,13 @@ import (
 // exhaustively: a spelling printed anywhere in the system must parse
 // everywhere in the system.
 func TestKindRoundTrips(t *testing.T) {
-	for _, name := range bpred.Kinds() {
+	for _, name := range bpred.Registry.Kinds() {
 		got, err := ParsePredictorKind(name)
 		if err != nil || got.String() != name {
 			t.Errorf("predictor %q: round-trip got %v, err %v", name, got, err)
 		}
 	}
-	for _, name := range confidence.Kinds() {
+	for _, name := range confidence.Registry.Kinds() {
 		got, err := ParseConfidenceKind(name)
 		if err != nil || got.String() != name {
 			t.Errorf("confidence %q: round-trip got %v, err %v", name, got, err)
@@ -45,12 +45,12 @@ func TestKindRoundTrips(t *testing.T) {
 // registered kind, and the closed enums keep their exhaustive name tables.
 func TestBuiltinKindsRegistered(t *testing.T) {
 	for _, k := range []PredictorKind{PredGshare, PredBimodal, PredStatic, PredOracle, PredLocal, PredCombining, PredTage} {
-		if _, ok := bpred.Lookup(string(k)); !ok {
+		if _, ok := bpred.Registry.Lookup(string(k)); !ok {
 			t.Errorf("predictor constant %q is not registered", k)
 		}
 	}
 	for _, k := range []ConfidenceKind{ConfJRS, ConfOracle, ConfAlwaysHigh, ConfAlwaysLow, ConfAdaptive} {
-		if _, ok := confidence.Lookup(string(k)); !ok {
+		if _, ok := confidence.Registry.Lookup(string(k)); !ok {
 			t.Errorf("confidence constant %q is not registered", k)
 		}
 	}
@@ -90,7 +90,7 @@ func TestParseKindUnknownIsTypedAndDescriptive(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	for _, want := range bpred.Kinds() {
+	for _, want := range bpred.Registry.Kinds() {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("predictor error should list registered kind %q, got %q", want, err)
 		}

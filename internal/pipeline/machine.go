@@ -338,7 +338,7 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		return nil, fmt.Errorf("pipeline: predictor %q: %w", string(cfg.Predictor.Kind), err)
 	}
 	m.oracle = cfg.Predictor.Kind == PredOracle
-	m.conf, err = buildConfidence(cfg.Confidence)
+	m.conf, err = confidence.Build(cfg.Confidence.spec())
 	if err != nil {
 		return nil, err
 	}

@@ -99,22 +99,9 @@ func WithHistoryBits(bits int) Option {
 	}
 }
 
-// WithPredictorParam sets one named predictor parameter (copy-on-write:
-// the underlying map is never shared between configs).
-func WithPredictorParam(name string, v int) Option {
-	return func(c *Config) {
-		c.Predictor = c.Predictor.WithParam(name, v)
-	}
-}
-
 // WithPredictor replaces the direction-predictor spec.
 func WithPredictor(spec PredictorSpec) Option {
 	return func(c *Config) { c.Predictor = spec }
-}
-
-// WithConfidence replaces the confidence-estimator spec.
-func WithConfidence(spec ConfidenceSpec) Option {
-	return func(c *Config) { c.Confidence = spec }
 }
 
 // WithConfidenceKind switches only the estimator kind, keeping the sizing
@@ -127,11 +114,6 @@ func WithConfidenceKind(k ConfidenceKind) Option {
 // 1 = dual-path).
 func WithMaxDivergences(n int) Option {
 	return func(c *Config) { c.MaxDivergences = n }
-}
-
-// WithFetchPolicy selects the multi-path fetch arbitration scheme.
-func WithFetchPolicy(p FetchPolicy) Option {
-	return func(c *Config) { c.FetchPolicy = p }
 }
 
 // WithMaxInsts bounds committed instructions (0 = run to Halt).

@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/bpred"
+	"repro/internal/policy"
 )
 
 func TestNewConfigDefaultsAreValid(t *testing.T) {
@@ -182,5 +185,42 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if m.Halted() {
 		t.Error("cancelled run should not report a completed simulation")
+	}
+}
+
+// TestValidationErrorsAreStable pins that a spec with several bad
+// parameters reports the same one on every call: the error text of
+// Config.Validate (and polyserve's 400 bodies) must not depend on Go map
+// iteration order.
+func TestValidationErrorsAreStable(t *testing.T) {
+	badParams := map[string]int{"hist_bits": 11, "aaa": 1, "zzz": 2}
+	inputs := map[string]func() error{
+		"bpred.NormalizeParams": func() error {
+			_, err := bpred.NormalizeParams("gshare", badParams)
+			return err
+		},
+		"policy.Normalize": func() error {
+			_, err := policy.Normalize(policy.Spec{Kind: "online", Candidates: []policy.Setting{{}},
+				Params: map[string]int{"explore_every": 1, "ema_milli": 0}})
+			return err
+		},
+		"Config.Validate": func() error {
+			cfg := DefaultConfig()
+			cfg.Predictor = PredictorSpec{Kind: PredGshare, Params: badParams}
+			return cfg.Validate()
+		},
+	}
+	for name, call := range inputs {
+		msgs := map[string]bool{}
+		for i := 0; i < 100; i++ {
+			err := call()
+			if err == nil {
+				t.Fatalf("%s: invalid input accepted", name)
+			}
+			msgs[err.Error()] = true
+		}
+		if len(msgs) != 1 {
+			t.Errorf("%s: %d distinct error messages over 100 calls: %v", name, len(msgs), msgs)
+		}
 	}
 }

@@ -76,7 +76,7 @@ func (m *Machine) buildPolicy() error {
 	if m.cfg.Policy.Kind == "" {
 		return nil
 	}
-	ctrl, err := policy.Build(m.cfg.Policy.spec())
+	ctrl, err := policy.Build(m.cfg.Policy)
 	if err != nil {
 		return err
 	}

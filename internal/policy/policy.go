@@ -20,7 +20,7 @@
 //     Instruction Fetch Rate, arXiv 1707.04657).
 //
 // Like internal/bpred and internal/confidence, the controller set is an
-// open registry: a kind registered anywhere (built-in or at runtime) is
+// open internal/registry: a kind registered anywhere (built-in or at runtime) is
 // immediately usable by the pipeline config, the wire format, and every
 // front end.
 package policy

@@ -5,20 +5,8 @@ import (
 	"testing"
 )
 
-func TestRegistryRejectsBadEntries(t *testing.T) {
-	if err := Register(Entry{Kind: "", New: func(Spec) (Controller, error) { return nil, nil }}); err == nil {
-		t.Fatal("empty kind accepted")
-	}
-	if err := Register(Entry{Kind: "nilfactory"}); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-	if err := Register(Entry{Kind: "STATIC", New: func(Spec) (Controller, error) { return nil, nil }}); err == nil {
-		t.Fatal("duplicate kind (case-folded) accepted")
-	}
-}
-
 func TestKindsSortedAndComplete(t *testing.T) {
-	kinds := Kinds()
+	kinds := Registry.Kinds()
 	want := map[string]bool{"static": false, "oracle": false, "online": false}
 	for i := 1; i < len(kinds); i++ {
 		if kinds[i-1] >= kinds[i] {
@@ -32,7 +20,7 @@ func TestKindsSortedAndComplete(t *testing.T) {
 	}
 	for k, seen := range want {
 		if !seen {
-			t.Fatalf("built-in kind %q missing from Kinds(): %v", k, kinds)
+			t.Fatalf("built-in kind %q missing from Registry.Kinds(): %v", k, kinds)
 		}
 	}
 }

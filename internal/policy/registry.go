@@ -2,9 +2,8 @@ package policy
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+
+	"repro/internal/registry"
 )
 
 // DefaultEpochCycles is the epoch length used when a spec leaves
@@ -43,88 +42,31 @@ func (s Spec) Param(name string, def int) int {
 	return def
 }
 
-// SpecError reports a spec field that violates a registered controller's
-// constraints; the pipeline converts it into its typed config error.
-type SpecError struct {
-	Kind   string
-	Field  string
-	Reason string
-}
-
-func (e *SpecError) Error() string {
-	return fmt.Sprintf("policy: %s: %s: %s", e.Kind, e.Field, e.Reason)
-}
-
 // Entry describes one registered controller kind. Normalize validates the
 // spec and returns its canonical form (inert fields zeroed, defaults
-// filled); New constructs the controller from a normalized spec.
+// filled); New constructs the controller from a normalized spec. Params is
+// the kind's fixed parameter schema, checked at registration (nil when it
+// has none or, like oracle's schedule, a dynamic one).
 type Entry struct {
 	Kind      string
 	Doc       string
+	Params    []registry.ParamSpec
 	Normalize func(Spec) (Spec, error)
 	New       func(Spec) (Controller, error)
 }
 
-type registry struct {
-	mu      sync.RWMutex
-	entries map[string]Entry
-}
-
-var reg = &registry{entries: make(map[string]Entry)}
-
-// Register adds a controller kind; duplicate or malformed registrations
-// are errors, never silent replacement.
-func Register(e Entry) error {
-	e.Kind = strings.ToLower(strings.TrimSpace(e.Kind))
-	if e.Kind == "" {
-		return fmt.Errorf("policy: register: empty kind")
-	}
-	if e.New == nil {
-		return fmt.Errorf("policy: register %q: nil factory", e.Kind)
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, dup := reg.entries[e.Kind]; dup {
-		return fmt.Errorf("policy: register %q: already registered", e.Kind)
-	}
-	reg.entries[e.Kind] = e
-	return nil
-}
-
-// MustRegister is Register for init-time built-ins; it panics on error.
-func MustRegister(e Entry) {
-	if err := Register(e); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the entry for a kind (case-insensitive).
-func Lookup(kind string) (Entry, bool) {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	e, ok := reg.entries[strings.ToLower(strings.TrimSpace(kind))]
-	return e, ok
-}
-
-// Kinds returns the registered kind spellings, sorted.
-func Kinds() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]string, 0, len(reg.entries))
-	for k := range reg.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// Registry holds every controller kind, built-in or registered at runtime.
+var Registry = registry.New("policy", "policy", func(e *Entry) registry.Meta {
+	return registry.Meta{Kind: &e.Kind, Params: e.Params, Hooks: []registry.Hook{{Name: "New", Set: e.New != nil}, {Name: "Normalize", Set: e.Normalize != nil}}}
+})
 
 // Normalize validates s against its kind's constraints and returns the
 // canonical spec. The returned spec never aliases s.Candidates or
 // s.Params.
 func Normalize(s Spec) (Spec, error) {
-	e, ok := Lookup(s.Kind)
-	if !ok {
-		return Spec{}, fmt.Errorf("policy: unknown controller kind %q (registered: %s)", s.Kind, strings.Join(Kinds(), ", "))
+	e, err := Registry.Get(s.Kind)
+	if err != nil {
+		return Spec{}, err
 	}
 	s.Kind = e.Kind
 	ns, err := e.Normalize(s)
@@ -132,15 +74,7 @@ func Normalize(s Spec) (Spec, error) {
 		return Spec{}, err
 	}
 	ns.Candidates = append([]Setting(nil), ns.Candidates...)
-	if len(ns.Params) == 0 {
-		ns.Params = nil
-	} else {
-		clone := make(map[string]int, len(ns.Params))
-		for k, v := range ns.Params {
-			clone[k] = v
-		}
-		ns.Params = clone
-	}
+	ns.Params = registry.CloneParams(ns.Params)
 	return ns, nil
 }
 
@@ -150,7 +84,7 @@ func Build(s Spec) (Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, _ := Lookup(ns.Kind)
+	e, _ := Registry.Lookup(ns.Kind)
 	return e.New(ns)
 }
 
@@ -161,45 +95,18 @@ func normalizeCommon(kind string, s Spec) (Spec, error) {
 		s.EpochCycles = DefaultEpochCycles
 	}
 	if s.EpochCycles < MinEpochCycles || s.EpochCycles > MaxEpochCycles {
-		return Spec{}, &SpecError{Kind: kind, Field: "EpochCycles", Reason: fmt.Sprintf("%d out of [%d,%d] (0 selects the default %d)", s.EpochCycles, MinEpochCycles, MaxEpochCycles, DefaultEpochCycles)}
+		return Spec{}, registry.Errorf(kind, "EpochCycles", "%d out of [%d,%d] (0 selects the default %d)", s.EpochCycles, MinEpochCycles, MaxEpochCycles, DefaultEpochCycles)
 	}
 	for i, c := range s.Candidates {
 		if c.ConfThreshold < -1 || c.ConfThreshold > 255 {
-			return Spec{}, &SpecError{Kind: kind, Field: fmt.Sprintf("Candidates[%d].ConfThreshold", i), Reason: fmt.Sprintf("%d out of [-1,255] (-1 = saturation, 0 = configured)", c.ConfThreshold)}
+			return Spec{}, registry.Errorf(kind, fmt.Sprintf("Candidates[%d].ConfThreshold", i), "%d out of [-1,255] (-1 = saturation, 0 = configured)", c.ConfThreshold)
 		}
 		if c.MaxDivergences < -1 || c.MaxDivergences > 1<<20 {
-			return Spec{}, &SpecError{Kind: kind, Field: fmt.Sprintf("Candidates[%d].MaxDivergences", i), Reason: fmt.Sprintf("%d out of [-1,%d] (-1 = divergence off, 0 = configured)", c.MaxDivergences, 1<<20)}
+			return Spec{}, registry.Errorf(kind, fmt.Sprintf("Candidates[%d].MaxDivergences", i), "%d out of [-1,%d] (-1 = divergence off, 0 = configured)", c.MaxDivergences, 1<<20)
 		}
 		if c.FetchWidth < 0 || c.FetchWidth > 64 {
-			return Spec{}, &SpecError{Kind: kind, Field: fmt.Sprintf("Candidates[%d].FetchWidth", i), Reason: fmt.Sprintf("%d out of [0,64] (0 = configured width)", c.FetchWidth)}
+			return Spec{}, registry.Errorf(kind, fmt.Sprintf("Candidates[%d].FetchWidth", i), "%d out of [0,64] (0 = configured width)", c.FetchWidth)
 		}
 	}
-	return s, nil
-}
-
-// paramSchema validates s.Params against a closed name set with defaults:
-// unknown names are errors, absent names take their defaults, and the
-// returned spec carries the fully-filled canonical map.
-func paramSchema(kind string, s Spec, defaults map[string]int, check func(name string, v int) error) (Spec, error) {
-	for name := range s.Params {
-		if _, ok := defaults[name]; !ok {
-			names := make([]string, 0, len(defaults))
-			for k := range defaults {
-				names = append(names, k)
-			}
-			sort.Strings(names)
-			return Spec{}, &SpecError{Kind: kind, Field: "Params." + name, Reason: fmt.Sprintf("unknown parameter (accepted: %s)", strings.Join(names, ", "))}
-		}
-	}
-	filled := make(map[string]int, len(defaults))
-	for name, def := range defaults {
-		filled[name] = s.Param(name, def)
-	}
-	for name, v := range filled {
-		if err := check(name, v); err != nil {
-			return Spec{}, &SpecError{Kind: kind, Field: "Params." + name, Reason: err.Error()}
-		}
-	}
-	s.Params = filled
 	return s, nil
 }

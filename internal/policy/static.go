@@ -1,5 +1,7 @@
 package policy
 
+import "repro/internal/registry"
+
 // staticController pins a single candidate setting for the whole run. It
 // exists so every pre-existing fixed policy can be expressed inside the
 // controller framework — the degenerate case the metamorphic tests pin
@@ -13,7 +15,7 @@ func (c *staticController) Decide(EpochStats) Setting { return c.setting }
 func (c *staticController) Reset()                    {}
 
 func init() {
-	MustRegister(Entry{
+	Registry.MustRegister(Entry{
 		Kind: "static",
 		Doc:  "pin one candidate setting for the whole run (fixed policy expressed in the controller framework)",
 		Normalize: func(s Spec) (Spec, error) {
@@ -21,13 +23,14 @@ func init() {
 				s.Candidates = []Setting{{}}
 			}
 			if len(s.Candidates) != 1 {
-				return Spec{}, &SpecError{Kind: "static", Field: "Candidates", Reason: "static takes exactly one candidate setting"}
+				return Spec{}, registry.Errorf("static", "Candidates", "static takes exactly one candidate setting")
 			}
 			s, err := normalizeCommon("static", s)
 			if err != nil {
 				return Spec{}, err
 			}
-			return paramSchema("static", s, map[string]int{}, func(string, int) error { return nil })
+			s.Params, err = registry.NormalizeParams("static", "Params.", nil, s.Params)
+			return s, err
 		},
 		New: func(s Spec) (Controller, error) {
 			return &staticController{setting: s.Candidates[0]}, nil

@@ -426,7 +426,7 @@ func (s *Server) SubmitAs(req JobRequest, tenant string) (*Job, error) {
 	return s.submit(req, tenant, nil)
 }
 
-// submit is the shared enqueue path of Submit and SubmitSweep; sw, when
+// submit is the shared enqueue path of Submit and SubmitSweepAs; sw, when
 // non-nil, attaches the job to the sweep record it executes.
 func (s *Server) submit(req JobRequest, tenant string, sw *sweepRec) (*Job, error) {
 	if s.isCoordinator() && req.Trace {
@@ -765,7 +765,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// writeSubmitError maps a Submit/SubmitSweep error to its HTTP status.
+// writeSubmitError maps a Submit/SubmitSweepAs error to its HTTP status.
 func writeSubmitError(w http.ResponseWriter, err error, queueCapacity int) {
 	var reqErr *RequestError
 	var cfgErr *pipeline.ConfigError
