@@ -21,6 +21,39 @@ func TestRegistryBuiltinsRegistered(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsBadEntries checks the predictor registry's wiring: the
+// generic checks (see internal/registry) must see this package's kind, New
+// hook and parameter schema.
+func TestRegisterRejectsBadEntries(t *testing.T) {
+	factory := func(Params, Env) (Predictor, error) { return Null{}, nil }
+	cases := []struct {
+		name string
+		e    Entry
+	}{
+		{"empty kind", Entry{New: factory}},
+		{"nil factory", Entry{Kind: "reg-test-nilfactory"}},
+		{"duplicate kind", Entry{Kind: "gshare", New: factory}},
+		{"case-folded duplicate", Entry{Kind: "  GSHARE ", New: factory}},
+		{"duplicate param", Entry{Kind: "reg-test-dupparam", New: factory,
+			Params: []ParamSpec{{Name: "x", Min: 0, Max: 1}, {Name: "x", Min: 0, Max: 1}}}},
+		{"empty param name", Entry{Kind: "reg-test-emptyparam", New: factory,
+			Params: []ParamSpec{{Name: "", Min: 0, Max: 1}}}},
+		{"empty range", Entry{Kind: "reg-test-emptyrange", New: factory,
+			Params: []ParamSpec{{Name: "x", Min: 2, Max: 1}}}},
+	}
+	for _, tc := range cases {
+		if err := Registry.Register(tc.e); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// None of the rejects may have landed in the registry.
+	for _, k := range Registry.Kinds() {
+		if strings.HasPrefix(k, "reg-test-") {
+			t.Errorf("rejected registration leaked into the registry: %q", k)
+		}
+	}
+}
+
 func TestNormalizeParamsContract(t *testing.T) {
 	// Defaults fill in; result is fresh, never an alias of the input.
 	in := Params{"hist_bits": 10}

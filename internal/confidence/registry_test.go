@@ -22,6 +22,29 @@ func TestConfRegistryBuiltins(t *testing.T) {
 	}
 }
 
+// TestConfRegisterRejectsBadEntries checks the estimator registry's wiring:
+// the generic checks (see internal/registry) must see this package's kind
+// and both of its hooks.
+func TestConfRegisterRejectsBadEntries(t *testing.T) {
+	factory := func(Spec) (Estimator, error) { return AlwaysHigh{}, nil }
+	norm := func(s Spec) (Spec, error) { return s, nil }
+	cases := []struct {
+		name string
+		e    Entry
+	}{
+		{"empty kind", Entry{Normalize: norm, New: factory}},
+		{"nil factory", Entry{Kind: "conf-test-nilfactory", Normalize: norm}},
+		{"nil normalize", Entry{Kind: "conf-test-nilnormalize", New: factory}},
+		{"duplicate", Entry{Kind: "jrs", Normalize: norm, New: factory}},
+		{"case-folded duplicate", Entry{Kind: " JRS ", Normalize: norm, New: factory}},
+	}
+	for _, tc := range cases {
+		if err := Registry.Register(tc.e); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 func TestConfNormalizeCanonicalizesDegenerateKinds(t *testing.T) {
 	// Inert sizing on a stateless kind is canonicalized away entirely, so
 	// two spellings of "always-high" are one spec (and one canonical hash

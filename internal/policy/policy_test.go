@@ -3,7 +3,33 @@ package policy
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/registry"
 )
+
+// TestRegistryRejectsBadEntries checks the controller registry's wiring:
+// the generic checks (see internal/registry) must see this package's kind,
+// both of its hooks and its parameter schema.
+func TestRegistryRejectsBadEntries(t *testing.T) {
+	factory := func(Spec) (Controller, error) { return nil, nil }
+	norm := func(s Spec) (Spec, error) { return s, nil }
+	cases := []struct {
+		name string
+		e    Entry
+	}{
+		{"empty kind", Entry{Normalize: norm, New: factory}},
+		{"nil factory", Entry{Kind: "nilfactory", Normalize: norm}},
+		{"nil normalize", Entry{Kind: "nilnormalize", New: factory}},
+		{"duplicate kind (case-folded)", Entry{Kind: "STATIC", Normalize: norm, New: factory}},
+		{"empty param range", Entry{Kind: "emptyrange", Normalize: norm, New: factory,
+			Params: []registry.ParamSpec{{Name: "x", Min: 2, Max: 1}}}},
+	}
+	for _, tc := range cases {
+		if err := Registry.Register(tc.e); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
 
 func TestKindsSortedAndComplete(t *testing.T) {
 	kinds := Registry.Kinds()
