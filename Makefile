@@ -5,7 +5,7 @@ FUZZTIME ?= 30s
 
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: all build test race vet fmt-check check bench bench-smoke benchreport bench-diff bench-scaling experiments serve-smoke chaos-smoke trace-smoke char-smoke soak-smoke fuzz-smoke cover-sched clean
+.PHONY: all build test race vet fmt-check check bench bench-smoke benchreport bench-diff bench-scaling experiments chaos-smoke trace-smoke char-smoke soak-smoke fuzz-smoke cover-sched clean
 
 all: build
 
@@ -74,12 +74,6 @@ bench-scaling:
 # experiments regenerates the paper's tables (Figures 8-12 + ablations).
 experiments:
 	$(GO) run ./cmd/experiments -exp all -insts $(INSTS)
-
-# serve-smoke boots polyserve, runs an experiment through the HTTP API,
-# diffs the result against cmd/experiments byte-for-byte, verifies the
-# memoization cache, and drains the server with SIGTERM.
-serve-smoke:
-	./scripts/serve_smoke.sh
 
 # trace-smoke exercises the observability subsystem end to end: polysim
 # -trace for both see and dualpath, Chrome/Perfetto JSON validation

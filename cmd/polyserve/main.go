@@ -68,7 +68,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 1, "concurrent jobs (each job parallelizes across cells internally)")
 	queue := flag.Int("queue", 16, "job queue capacity (backpressure beyond this)")
-	cacheCells := flag.Int("cache", 4096, "memoization cache capacity in cells (0 = disable)")
+	cacheCells := flag.Int("cache", 4096, "in-memory front of the cell cache, in cells (0 = none; -store still caches on disk)")
 	par := flag.Int("par", 0, "parallel simulations per job (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "default per-job wall-time cap (0 = none)")
 	maxInsts := flag.Uint64("maxinsts", 0, "per-benchmark instruction cap clients may request (0 = unbounded)")

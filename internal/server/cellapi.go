@@ -66,7 +66,8 @@ type CellResponse struct {
 	IPC   float64   `json:"ipc"`
 	Stats stats.Sim `json:"stats"`
 	// Cached reports where the result came from: "" (simulated now),
-	// "memo" (worker LRU), or "store" (shared result store).
+	// "memo" (the cell cache's in-memory front), or "store" (the result
+	// store under it).
 	Cached string `json:"cached,omitempty"`
 	// Node is the executing worker's node ID.
 	Node string `json:"node"`
@@ -175,7 +176,7 @@ func (s *Server) handleCellRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runCellContained validates, executes, and memoizes one cell with the
+// runCellContained validates, executes, and caches one cell with the
 // same recover barrier as job execution: a poisoned cell fails its call,
 // never the worker process.
 func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp CellResponse, err error, crashKind string) {
@@ -229,20 +230,8 @@ func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp Ce
 	}
 
 	key := harness.CellKey(spec, hash)
-	if s.memo != nil {
-		if v, ok := s.memo.Get(key); ok {
-			s.svc.CellsFromCache.Add(1)
-			return CellResponse{IPC: v.IPC, Stats: v.Stats, Cached: "memo"}, nil, ""
-		}
-	}
-	if s.store != nil {
-		if v, ok := s.store.Get(key); ok {
-			if s.memo != nil {
-				s.memo.Put(key, v)
-			}
-			s.svc.CellsFromCache.Add(1)
-			return CellResponse{IPC: v.IPC, Stats: v.Stats, Cached: "store"}, nil, ""
-		}
+	if v, tier, ok := s.cache.lookup(key); ok {
+		return CellResponse{IPC: v.IPC, Stats: v.Stats, Cached: tier}, nil, ""
 	}
 
 	if err := s.acquireCellSlot(ctx); err != nil {
@@ -276,28 +265,8 @@ func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp Ce
 	s.svc.SimNanos.Add(int64(time.Since(start)))
 	s.cellDur.Observe(time.Since(start).Seconds())
 
-	v := harness.MemoValue{IPC: res.IPC, Stats: res.Stats}
-	if memo := s.cellMemo(); memo != nil {
-		memo.Put(key, v)
-	}
-	return CellResponse{IPC: v.IPC, Stats: v.Stats}, nil, ""
-}
-
-// cellMemo returns the memo tier stack for direct cell execution: the
-// shared result store under the in-memory LRU when a store is mounted,
-// the LRU alone otherwise, nil with caching fully disabled.
-func (s *Server) cellMemo() harness.Memo {
-	if s.store != nil {
-		var lru harness.Memo
-		if s.memo != nil {
-			lru = s.memo
-		}
-		return tieredMemo{lru: lru, store: s.store}
-	}
-	if s.memo != nil {
-		return s.memo
-	}
-	return nil
+	s.cache.Put(key, harness.MemoValue{IPC: res.IPC, Stats: res.Stats})
+	return CellResponse{IPC: res.IPC, Stats: res.Stats}, nil, ""
 }
 
 // arenaPool builds the lazy per-node arena pool for direct cell execution.

@@ -13,15 +13,16 @@ import (
 )
 
 // dispatch.go is the coordinator's cell executor: it is wired in as
-// harness Options.Exec, so every non-memoized cell of a coordinator job
-// becomes one remote execution against the worker fleet instead of a
-// local simulation. The policy, in order:
+// harness Options.Exec, so every cell of a coordinator job that the
+// node's cell cache cannot serve becomes one remote execution against the
+// worker fleet instead of a local simulation. The harness consults the
+// cache before Exec and writes the result through it after, so a cell
+// already computed by anyone sharing the store (this sweep, a previous
+// sweep, a previous coordinator incarnation) is never dispatched. The
+// dispatch policy:
 //
-//   - Result store first: a cell already computed by anyone in the fleet
-//     (this sweep, a previous sweep, a previous coordinator incarnation)
-//     is served from the content-addressed store without dispatch.
 //   - Consistent-hash ownership: the cell's content address picks its
-//     worker, so each worker's local memo cache stays hot across sweeps.
+//     worker, so each worker's cache front stays hot across sweeps.
 //   - Per-cell deadline (Config.CellTimeout) on the whole dispatch
 //     including retries and hedges.
 //   - Failure → walk the ring successors, never re-trying a worker that
@@ -110,12 +111,6 @@ const dispatchPollInterval = 100 * time.Millisecond
 func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness.MemoValue, error) {
 	var zero harness.MemoValue
 	key := harness.CellKey(cell.Spec, cell.ConfigHash)
-	if s.store != nil {
-		if v, ok := s.store.Get(key); ok {
-			s.svc.StoreHits.Add(1)
-			return v, nil
-		}
-	}
 	blob, err := s.encodedConfig(cell.Config, cell.ConfigHash)
 	if err != nil {
 		return zero, fmt.Errorf("encode config for dispatch: %w", err)
@@ -225,18 +220,7 @@ func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness
 			delete(inflight, a.w.id)
 			if a.err == nil {
 				a.w.cellsOK.Add(1)
-				v := harness.MemoValue{IPC: a.resp.IPC, Stats: a.resp.Stats}
-				if s.store != nil {
-					if conflict, err := s.store.Put(key, v); err != nil {
-						s.cfg.Log.Printf("polyserve: store put %s: %v", key, err)
-					} else if conflict {
-						s.svc.StoreConflicts.Add(1)
-						s.cfg.Log.Printf("polyserve: DETERMINISM VIOLATION: store conflict on %s from worker %s", key, a.w.id)
-					} else {
-						s.svc.StorePuts.Add(1)
-					}
-				}
-				return v, nil
+				return harness.MemoValue{IPC: a.resp.IPC, Stats: a.resp.Stats}, nil
 			}
 			a.w.cellsFailed.Add(1)
 			lastErr = fmt.Errorf("worker %s: %w", a.w.id, a.err)

@@ -439,8 +439,39 @@ func TestFleetMatchesStandalone(t *testing.T) {
 	if coord.svc.StoreConflicts.Load() != 0 {
 		t.Fatal("determinism violation: store conflicts in a healthy fleet")
 	}
-	if coord.store.Len() == 0 {
+	if coord.cache.store.Len() == 0 {
 		t.Fatal("shared store empty after a fleet run")
+	}
+}
+
+// TestFleetStoreHitsAreCacheHits: a fresh coordinator that finds every
+// cell of a job in the shared store serves them as cache hits — nothing
+// dispatched, nothing counted as simulated — with the same result.
+func TestFleetStoreHitsAreCacheHits(t *testing.T) {
+	dir := t.TempDir()
+	_, cts := startFleet(t, 3, dir)
+	first := submitAndWait(t, cts, fleetJobBody)
+	if first.State != JobDone {
+		t.Fatalf("first fleet run failed: %+v", first)
+	}
+	want := getResult(t, cts, first.ID)
+
+	coord, cts2 := startFleet(t, 0, dir)
+	j := submitAndWait(t, cts2, fleetJobBody)
+	if j.State != JobDone {
+		t.Fatalf("rerun on a fresh coordinator failed: %+v", j)
+	}
+	got := getResult(t, cts2, j.ID)
+	if got.Text != want.Text {
+		t.Fatalf("store replay diverged:\n--- first ---\n%s\n--- replay ---\n%s", want.Text, got.Text)
+	}
+	if got.Cells != 6 || got.CacheHits != 6 {
+		t.Fatalf("replay: cells=%d cache_hits=%d, want 6/6", got.Cells, got.CacheHits)
+	}
+	snap := coord.Stats()
+	if snap.CellsSimulated != 0 || snap.SimInsts != 0 || snap.CellsDispatched != 0 || snap.StoreHits != 6 {
+		t.Fatalf("replay stats: cells_simulated=%d sim_insts=%d cells_dispatched=%d store_hits=%d, want 0/0/0/6",
+			snap.CellsSimulated, snap.SimInsts, snap.CellsDispatched, snap.StoreHits)
 	}
 }
 

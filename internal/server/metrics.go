@@ -29,20 +29,20 @@ func (s *Server) initMetrics() {
 	reg.GaugeFunc("polyserve_queue_capacity", "", "FIFO queue capacity (backpressure beyond this).", func() float64 {
 		return float64(s.cfg.QueueCapacity)
 	})
-	if s.memo != nil {
+	if front := s.cache.front; front != nil {
 		reg.CounterFunc("polyserve_memo_hits_total", "", "Memoization cache hits.", func() float64 {
-			hits, _ := s.memo.Stats()
+			hits, _ := front.Stats()
 			return float64(hits)
 		})
 		reg.CounterFunc("polyserve_memo_misses_total", "", "Memoization cache misses.", func() float64 {
-			_, misses := s.memo.Stats()
+			_, misses := front.Stats()
 			return float64(misses)
 		})
 		reg.GaugeFunc("polyserve_memo_entries", "", "Resident memoization cache entries.", func() float64 {
-			return float64(s.memo.Len())
+			return float64(front.Len())
 		})
 		reg.GaugeFunc("polyserve_memo_hit_ratio", "", "Memoization hit ratio since startup.", func() float64 {
-			hits, misses := s.memo.Stats()
+			hits, misses := front.Stats()
 			if hits+misses == 0 {
 				return 0
 			}
@@ -65,9 +65,9 @@ func (s *Server) initMetrics() {
 			return float64(s.registry.liveCount())
 		})
 	}
-	if s.store != nil {
+	if store := s.cache.store; store != nil {
 		reg.GaugeFunc("polyserve_store_entries", "", "Results resident in the content-addressed store.", func() float64 {
-			return float64(s.store.Len())
+			return float64(store.Len())
 		})
 	}
 	version := strings.ReplaceAll(obs.Version(), `"`, "'")

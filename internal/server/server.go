@@ -5,9 +5,11 @@
 // submitted to POST /v1/jobs, run FIFO on a bounded worker pool, and
 // polled via GET /v1/jobs/{id}; the rendered table — byte-identical to
 // cmd/experiments output for the same request — is served by
-// GET /v1/results/{id}. Per-cell results are memoized in an LRU keyed by
-// the canonical polypath/v1 config hash plus workload identity, so
-// resubmitting a sweep replays bit-identical metrics without simulating.
+// GET /v1/results/{id}. Per-cell results go through one cell cache keyed
+// by the canonical config hash plus workload identity: a bounded
+// in-memory front written through to an optional content-addressed store
+// on disk (store.go), so resubmitting a sweep replays bit-identical
+// metrics without simulating, across restarts and fleet nodes too.
 // When the queue is full, submissions are rejected with 429 and a
 // Retry-After hint (backpressure). Drain lets in-flight jobs finish and
 // journals still-queued jobs to disk for resumption on restart.
@@ -32,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
@@ -58,8 +59,9 @@ type Config struct {
 	Workers int
 	// QueueCapacity bounds the FIFO backlog (default 16).
 	QueueCapacity int
-	// CacheCells caps the per-cell memoization LRU (default 4096 entries;
-	// 0 disables caching).
+	// CacheCells caps the cell cache's in-memory front in entries (0, the
+	// zero value, runs without a front; polyserve's -cache flag defaults
+	// to 4096).
 	CacheCells int
 	// SimParallelism bounds concurrent simulations within one job
 	// (0 = GOMAXPROCS).
@@ -102,11 +104,11 @@ type Config struct {
 	// NodeID names this node in fleet APIs, logs, quarantine records, and
 	// per-worker metrics (default: the role).
 	NodeID string
-	// StoreDir mounts the content-addressed result store at the given
-	// directory (empty = no store). A local fleet sharing one StoreDir
+	// StoreDir mounts the content-addressed result store under the cell
+	// cache's front (empty = no store). A local fleet sharing one StoreDir
 	// deduplicates cells fleet-wide; a per-node directory is still a
-	// restart-durable cache, and the coordinator's copy is the byte-level
-	// determinism audit.
+	// restart-durable cache. Either way every write is byte-compared with
+	// the stored result as a determinism audit.
 	StoreDir string
 	// DialWorker connects the coordinator to a registered worker's base
 	// URL. Required for RoleCoordinator; internal/client.DialWorker is
@@ -197,7 +199,7 @@ type Server struct {
 	cfg   Config
 	sched *scheduler
 	svc   stats.Service
-	memo  *cache.LRU[harness.MemoValue]
+	cache cellCache
 	quar  *quarantine
 
 	// Observability (see metrics.go): the Prometheus registry behind
@@ -212,9 +214,8 @@ type Server struct {
 	shardDur      map[int]*metrics.Histogram
 	shardOverflow *metrics.Histogram
 
-	// Fleet state: the shared result store (any role), and the worker
-	// registry + dispatch admission control (coordinator only).
-	store       *resultStore
+	// Fleet state: the worker registry + dispatch admission control
+	// (coordinator only).
 	registry    *registry
 	retryTokens *tokenBucket
 	cellSlots   chan struct{}
@@ -261,15 +262,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, jobs: make(map[string]*Job), sweeps: make(map[string]*sweepRec)}
 	s.quar = newQuarantine(cfg.CrashThreshold)
-	if cfg.CacheCells > 0 {
-		s.memo = cache.NewLRU[harness.MemoValue](cfg.CacheCells)
-	}
-	if cfg.StoreDir != "" {
-		st, err := openStore(cfg.StoreDir)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		s.store = st
+	var err error
+	if s.cache, err = newCellCache(cfg, &s.svc); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.Role == RoleCoordinator {
 		s.registry = newRegistry(cfg.LeaseTTL, cfg.DialWorker, func(id string) {
@@ -347,9 +342,9 @@ func (s *Server) Stats() Snapshot {
 		RunningJobs:     running,
 		QueueCapacity:   s.cfg.QueueCapacity,
 	}
-	if s.memo != nil {
-		hits, misses := s.memo.Stats()
-		snap.CacheEntries = s.memo.Len()
+	if front := s.cache.front; front != nil {
+		hits, misses := front.Stats()
+		snap.CacheEntries = front.Len()
 		snap.CacheHits = hits
 		snap.CacheMisses = misses
 		if hits+misses > 0 {
@@ -361,8 +356,8 @@ func (s *Server) Stats() Snapshot {
 	if s.registry != nil {
 		snap.WorkersLive = s.registry.liveCount()
 	}
-	if s.store != nil {
-		snap.StoreEntries = s.store.Len()
+	if s.cache.store != nil {
+		snap.StoreEntries = s.cache.store.Len()
 	}
 	return snap
 }
@@ -559,6 +554,7 @@ func (s *Server) runJob(j *Job) {
 		Replicates:  j.Request.Replicates,
 		Parallelism: s.cfg.SimParallelism,
 		Context:     ctx,
+		Memo:        &s.cache,
 		OnCell: func(ev harness.CellEvent) {
 			cellMu.Lock()
 			cells++
@@ -567,9 +563,7 @@ func (s *Server) runJob(j *Job) {
 			}
 			simInsts += ev.Committed
 			cellMu.Unlock()
-			if ev.FromCache {
-				s.svc.CellsFromCache.Add(1)
-			} else {
+			if !ev.FromCache {
 				s.svc.CellsSimulated.Add(1)
 				s.svc.SimInsts.Add(ev.Committed)
 				s.svc.SimNanos.Add(int64(ev.Elapsed))
@@ -578,23 +572,14 @@ func (s *Server) runJob(j *Job) {
 		},
 	}
 	if s.isCoordinator() {
-		// Coordinator: every non-memoized cell becomes one remote dispatch
-		// (dispatch.go). The local LRU stays as the first tier; the shared
-		// result store is consulted inside execRemote, so it is not
-		// layered into the memo here (that would double the store writes).
+		// Coordinator: every cell the cache cannot serve becomes one
+		// remote dispatch (dispatch.go).
 		opts.Exec = s.execRemote
 		if s.cfg.SimParallelism == 0 {
 			// Dispatch is network-bound, not CPU-bound: fan out wider than
 			// GOMAXPROCS so a small coordinator keeps a larger fleet busy.
 			opts.Parallelism = 4 * runtime.GOMAXPROCS(0)
 		}
-		if s.memo != nil {
-			opts.Memo = s.memo
-		}
-	} else if m := s.cellMemo(); m != nil {
-		// Standalone/worker: the in-memory LRU backed by the persistent
-		// result store when one is mounted.
-		opts.Memo = m
 	}
 	if s.cfg.Audit != pipeline.AuditOff {
 		opts.Audit = s.cfg.Audit
@@ -971,8 +956,8 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		WorkersLive: s.registry.liveCount(),
 		Workers:     s.registry.snapshot(),
 	}
-	if s.store != nil {
-		st.StoreEntries = s.store.Len()
+	if s.cache.store != nil {
+		st.StoreEntries = s.cache.store.Len()
 	}
 	if st.Workers == nil {
 		st.Workers = []WorkerStatus{}

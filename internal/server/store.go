@@ -6,22 +6,25 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/harness"
+	"repro/internal/stats"
 )
 
-// store.go is the fleet's content-addressed result store: one JSON file
-// per completed cell, named by the SHA-256 of the cell's content address
-// (harness.CellKey). Simulations are deterministic, so the store doubles
-// as a cross-restart, cross-node memoization tier AND as a correctness
-// audit: two nodes writing different bytes under the same key can only
-// mean nondeterminism (or corruption), which Put surfaces as a conflict
-// instead of silently overwriting. First write wins; writes are
-// temp+rename so readers never observe a torn file.
+// store.go is the node's one cell-result cache (cellCache, at the end)
+// and the content-addressed result store under its in-memory front: one
+// JSON file per completed cell, named by the SHA-256 of the cell's
+// content address (harness.CellKey). Simulations are deterministic, so
+// the store doubles as a cross-restart, cross-node cache AND as a
+// correctness audit: two nodes writing different bytes under the same
+// key can only mean nondeterminism (or corruption), which Put surfaces
+// as a conflict instead of silently overwriting. First write wins;
+// writes are temp+rename so readers never observe a torn file.
 
 // storeRecord is the on-disk document. Key is stored inside the file so
 // an auditor (scripts/soak_smoke.sh) can recompute the address and verify
@@ -31,13 +34,9 @@ type storeRecord struct {
 	Value harness.MemoValue `json:"value"`
 }
 
-// resultStore is safe for concurrent use by dispatch goroutines.
+// resultStore is safe for concurrent use.
 type resultStore struct {
 	dir string
-
-	hits      atomic.Uint64
-	puts      atomic.Uint64
-	conflicts atomic.Uint64
 }
 
 func openStore(dir string) (*resultStore, error) {
@@ -63,13 +62,12 @@ func (st *resultStore) Get(key string) (harness.MemoValue, bool) {
 	if json.Unmarshal(data, &rec) != nil || rec.Key != key {
 		return harness.MemoValue{}, false
 	}
-	st.hits.Add(1)
 	return rec.Value, true
 }
 
 // Put stores the value under key. When the key already exists the
 // existing result is kept (first write wins) and, if the bytes disagree,
-// the conflict counter records a determinism violation for the audit.
+// Put reports a conflict: a determinism violation for the audit.
 // Returned errors are I/O problems; callers treat the store as a cache
 // and may continue without it.
 func (st *resultStore) Put(key string, v harness.MemoValue) (conflict bool, err error) {
@@ -79,11 +77,7 @@ func (st *resultStore) Put(key string, v harness.MemoValue) (conflict bool, err 
 	}
 	path := st.path(key)
 	if old, err := os.ReadFile(path); err == nil {
-		if !bytes.Equal(bytes.TrimSpace(old), blob) {
-			st.conflicts.Add(1)
-			return true, nil
-		}
-		return false, nil
+		return !bytes.Equal(bytes.TrimSpace(old), blob), nil
 	}
 	tmp, err := os.CreateTemp(st.dir, ".cell-*")
 	if err != nil {
@@ -101,14 +95,9 @@ func (st *resultStore) Put(key string, v harness.MemoValue) (conflict bool, err 
 	// identical by construction (same deterministic simulation), so the
 	// rename race is benign — but check anyway to feed the audit.
 	if old, err := os.ReadFile(path); err == nil && !bytes.Equal(bytes.TrimSpace(old), blob) {
-		st.conflicts.Add(1)
 		return true, nil
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return false, err
-	}
-	st.puts.Add(1)
-	return false, nil
+	return false, os.Rename(tmp.Name(), path)
 }
 
 // Len counts stored results (scrape-time only; walks the directory).
@@ -126,31 +115,79 @@ func (st *resultStore) Len() int {
 	return n
 }
 
-// tieredMemo layers the persistent result store under the in-memory LRU:
-// Get falls back to the store (backfilling the LRU), Put writes through.
-// It is the harness.Memo a worker or standalone node runs with, making
-// every node's cache shared fleet-wide and restart-durable.
-type tieredMemo struct {
-	lru   harness.Memo // may be nil (caching disabled)
-	store *resultStore
+// cellCache is the node's one cell-result cache: an optional bounded
+// in-memory front (Config.CacheCells) written through to the optional
+// content-addressed store (Config.StoreDir). Every role runs its jobs
+// with it as harness.Options.Memo and direct cell execution
+// (POST /v1/cells) reads and writes it too, so the cache alone keeps the
+// hit, store and determinism-audit accounting.
+type cellCache struct {
+	front *cache.LRU[harness.MemoValue] // nil: no in-memory front
+	store *resultStore                  // nil: no store
+	svc   *stats.Service
+	log   *log.Logger
 }
 
-func (m tieredMemo) Get(key string) (harness.MemoValue, bool) {
-	if m.lru != nil {
-		if v, ok := m.lru.Get(key); ok {
-			return v, true
+func newCellCache(cfg Config, svc *stats.Service) (cellCache, error) {
+	c := cellCache{svc: svc, log: cfg.Log}
+	if cfg.CacheCells > 0 {
+		c.front = cache.NewLRU[harness.MemoValue](cfg.CacheCells)
+	}
+	if cfg.StoreDir != "" {
+		st, err := openStore(cfg.StoreDir)
+		if err != nil {
+			return c, err
+		}
+		c.store = st
+	}
+	return c, nil
+}
+
+// lookup returns the cached result for key and the tier that served it,
+// "memo" or "store". A store hit backfills the front.
+func (c *cellCache) lookup(key string) (harness.MemoValue, string, bool) {
+	if c.front != nil {
+		if v, ok := c.front.Get(key); ok {
+			c.svc.CellsFromCache.Add(1)
+			return v, "memo", true
 		}
 	}
-	v, ok := m.store.Get(key)
-	if ok && m.lru != nil {
-		m.lru.Put(key, v)
+	if c.store != nil {
+		if v, ok := c.store.Get(key); ok {
+			if c.front != nil {
+				c.front.Put(key, v)
+			}
+			c.svc.StoreHits.Add(1)
+			c.svc.CellsFromCache.Add(1)
+			return v, "store", true
+		}
 	}
+	return harness.MemoValue{}, "", false
+}
+
+func (c *cellCache) Get(key string) (harness.MemoValue, bool) {
+	v, _, ok := c.lookup(key)
 	return v, ok
 }
 
-func (m tieredMemo) Put(key string, v harness.MemoValue) {
-	if m.lru != nil {
-		m.lru.Put(key, v)
+// Put writes v through to the store, then to the front. A store conflict
+// keeps the first-written result in both tiers and is logged as a
+// determinism violation; a store I/O error only costs the durable copy.
+func (c *cellCache) Put(key string, v harness.MemoValue) {
+	if c.store != nil {
+		conflict, err := c.store.Put(key, v)
+		switch {
+		case err != nil:
+			c.log.Printf("polyserve: store put %s: %v", key, err)
+		case conflict:
+			c.svc.StoreConflicts.Add(1)
+			c.log.Printf("polyserve: DETERMINISM VIOLATION: store conflict on %s", key)
+			return
+		default:
+			c.svc.StorePuts.Add(1)
+		}
 	}
-	_, _ = m.store.Put(key, v)
+	if c.front != nil {
+		c.front.Put(key, v)
+	}
 }

@@ -136,41 +136,60 @@ func TestSweepLifecycleAndCellStream(t *testing.T) {
 	}
 }
 
+// inlineV2Configs are two configs given as inline polypath/v2 documents:
+// the TAGE machine (the open predictor registry through the wire format)
+// and the fig-adaptive online-policy machine (the policy registry and the
+// v2 policy field).
+const inlineV2Configs = `{"name":"TAGE","config":{"schema":"polypath/v2","mode":"polypath","fetch_width":8,"rename_width":8,"commit_width":8,"front_end_stages":5,"window_size":256,"num_int_type0":4,"num_int_type1":4,"num_fp_add":4,"num_fp_mul":4,"num_mem_ports":4,"phys_regs":352,"checkpoints":64,"ctx_history_width":8,"max_paths":24,"max_divergences":0,"predictor":{"kind":"tage","params":{"base_bits":10,"idx_bits":5,"max_hist":64,"min_hist":4,"tables":4,"tag_bits":11}},"confidence":{"kind":"jrs","index_bits":11,"ctr_bits":1,"threshold":0,"enhanced_index":true,"adaptive_min_pvn":0,"adaptive_window":0},"fetch_policy":"exponential","enable_dcache":false,"dcache":{"sets":0,"ways":0,"line_words":0},"dcache_miss_latency":0,"enable_icache":false,"icache":{"sets":0,"ways":0,"line_words":0},"icache_miss_latency":0,"btb_bits":9,"ras_depth":16,"enable_mrc":false,"mrc_bits":8,"resolution_buses":0,"non_speculative_history":false,"max_insts":0}},
+  {"name":"adaptive","config":{"schema":"polypath/v2","mode":"polypath","fetch_width":4,"rename_width":8,"commit_width":8,"front_end_stages":5,"window_size":256,"num_int_type0":4,"num_int_type1":4,"num_fp_add":4,"num_fp_mul":4,"num_mem_ports":4,"phys_regs":352,"checkpoints":64,"ctx_history_width":8,"max_paths":24,"max_divergences":0,"predictor":{"kind":"gshare","params":{"hist_bits":11}},"confidence":{"kind":"jrs","index_bits":11,"ctr_bits":1,"threshold":0,"enhanced_index":true,"adaptive_min_pvn":0,"adaptive_window":0},"fetch_policy":"exponential","enable_dcache":false,"dcache":{"sets":0,"ways":0,"line_words":0},"dcache_miss_latency":0,"enable_icache":false,"icache":{"sets":0,"ways":0,"line_words":0},"icache_miss_latency":0,"btb_bits":9,"ras_depth":16,"enable_mrc":false,"mrc_bits":8,"resolution_buses":0,"non_speculative_history":false,"max_insts":0,"policy":{"kind":"online","epoch_cycles":1024,"candidates":[{"conf_threshold":0,"max_divergences":0,"fetch_width":0},{"conf_threshold":0,"max_divergences":-1,"fetch_width":0}],"params":{"ema_milli":400,"explore_every":6,"hysteresis_milli":20,"shift_milli":120,"vifr_epochs":0,"vifr_fetch":4,"vifr_lowconf_milli":600}}}}`
+
 // TestSweepResultMatchesJob pins the determinism contract end to end: a
 // sweep sharded 4-wide renders the byte-identical table a sequential
-// plain job produces for the same request.
+// plain job produces for the same request, for configs named by model
+// and for inline polypath/v2 documents alike.
 func TestSweepResultMatchesJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{SimParallelism: 1})
-	sw := submitSweepAndWait(t, ts, batchSweepBody)
-	if sw.State != JobDone {
-		t.Fatalf("sweep state = %s (error %q)", sw.State, sw.Error)
-	}
+	for _, tc := range []struct{ name, configs string }{
+		{"models", `{"name":"monopath","model":"monopath"},{"name":"SEE","model":"see"}`},
+		{"inline-v2", `{"name":"monopath","model":"monopath"},{"name":"SEE","model":"see"},` + inlineV2Configs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			request := func(extra string) string {
+				return `{"title": "sweep test (IPC)", "configs": [` + tc.configs +
+					`], "benchmarks": ["compress","gcc"], "insts": 3000` + extra + `}`
+			}
+			_, ts := newTestServer(t, Config{SimParallelism: 1})
+			sw := submitSweepAndWait(t, ts, request(`, "parallelism": 4`))
+			if sw.State != JobDone {
+				t.Fatalf("sweep state = %s (error %q)", sw.State, sw.Error)
+			}
 
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + sw.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep result: status %d", resp.StatusCode)
-	}
-	var sweepRes JobResult
-	if err := json.NewDecoder(resp.Body).Decode(&sweepRes); err != nil {
-		t.Fatal(err)
-	}
+			resp, err := http.Get(ts.URL + "/v1/sweeps/" + sw.ID + "/result")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("sweep result: status %d", resp.StatusCode)
+			}
+			var sweepRes JobResult
+			if err := json.NewDecoder(resp.Body).Decode(&sweepRes); err != nil {
+				t.Fatal(err)
+			}
 
-	j := submitAndWait(t, ts, `{
-	  "title": "sweep test (IPC)",
-	  "configs": [{"name":"monopath","model":"monopath"},{"name":"SEE","model":"see"}],
-	  "benchmarks": ["compress","gcc"],
-	  "insts": 3000
-	}`)
-	if j.State != JobDone {
-		t.Fatalf("job state = %s (error %q)", j.State, j.Error)
-	}
-	jobRes := getResult(t, ts, j.ID)
-	if sweepRes.Text != jobRes.Text {
-		t.Fatalf("sweep (parallelism 4) and sequential job rendered different tables:\n--- sweep ---\n%s\n--- job ---\n%s", sweepRes.Text, jobRes.Text)
+			j := submitAndWait(t, ts, request(""))
+			if j.State != JobDone {
+				t.Fatalf("job state = %s (error %q)", j.State, j.Error)
+			}
+			jobRes := getResult(t, ts, j.ID)
+			for _, name := range []string{"monopath", "SEE", "TAGE", "adaptive"} {
+				if strings.Contains(tc.configs, `"`+name+`"`) && !strings.Contains(sweepRes.Text, name) {
+					t.Fatalf("sweep table has no %s column:\n%s", name, sweepRes.Text)
+				}
+			}
+			if sweepRes.Text != jobRes.Text {
+				t.Fatalf("sweep (parallelism 4) and sequential job rendered different tables:\n--- sweep ---\n%s\n--- job ---\n%s", sweepRes.Text, jobRes.Text)
+			}
+		})
 	}
 }
 
